@@ -12,13 +12,13 @@ countOneItemsets(std::span<const std::uint8_t> data,
 {
     ItemCounts counts(catalog_items, 0);
     const std::size_t n_records = data.size() / TransactionRecord::kBytes;
+    TransactionRecord::Items items{};
     for (std::size_t r = 0; r < n_records; ++r) {
-        const auto record = decodeRecord(
-            data.subspan(r * TransactionRecord::kBytes,
-                         TransactionRecord::kBytes));
-        for (std::uint8_t i = 0; i < record.item_count; ++i) {
-            if (record.items[i] < catalog_items)
-                ++counts[record.items[i]];
+        const std::size_t n = decodeItems(
+            data.subspan(r * TransactionRecord::kBytes), items);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (items[i] < catalog_items)
+                ++counts[items[i]];
         }
     }
     return counts;
@@ -47,7 +47,7 @@ namespace {
 
 /** Is @p subset (sorted) contained in @p superset (sorted)? */
 bool
-containsSorted(const ItemSet &superset, const ItemSet &subset)
+containsSorted(std::span<const std::uint32_t> superset, const ItemSet &subset)
 {
     return std::includes(superset.begin(), superset.end(), subset.begin(),
                          subset.end());
@@ -101,16 +101,15 @@ countCandidates(std::span<const std::uint8_t> data,
 {
     std::vector<std::uint64_t> counts(candidates.size(), 0);
     const std::size_t n_records = data.size() / TransactionRecord::kBytes;
+    TransactionRecord::Items items{};
     for (std::size_t r = 0; r < n_records; ++r) {
-        const auto record = decodeRecord(
-            data.subspan(r * TransactionRecord::kBytes,
-                         TransactionRecord::kBytes));
-        if (record.item_count == 0)
+        const std::size_t n = decodeItems(
+            data.subspan(r * TransactionRecord::kBytes), items);
+        if (n == 0)
             continue;
-        ItemSet basket(record.items, record.items + record.item_count);
-        std::sort(basket.begin(), basket.end());
-        basket.erase(std::unique(basket.begin(), basket.end()),
-                     basket.end());
+        std::sort(items.begin(), items.begin() + n);
+        const std::span<const std::uint32_t> basket(
+            items.begin(), std::unique(items.begin(), items.begin() + n));
         for (std::size_t c = 0; c < candidates.size(); ++c) {
             if (containsSorted(basket, candidates[c]))
                 ++counts[c];

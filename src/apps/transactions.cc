@@ -1,8 +1,7 @@
 #include "apps/transactions.h"
 
-#include <algorithm>
+#include <cstring>
 
-#include "util/codec.h"
 #include "util/logging.h"
 
 namespace nasd::apps {
@@ -10,29 +9,29 @@ namespace nasd::apps {
 void
 encodeRecord(const TransactionRecord &record, std::span<std::uint8_t> out)
 {
-    NASD_ASSERT(out.size() >= TransactionRecord::kBytes);
-    std::vector<std::uint8_t> buf;
-    util::Encoder enc(buf);
-    enc.put<std::uint64_t>(record.txn_id);
-    enc.put<std::uint32_t>(record.store_id);
-    enc.put<std::uint8_t>(record.item_count);
-    for (std::size_t i = 0; i < TransactionRecord::kMaxItems; ++i)
-        enc.put<std::uint32_t>(record.items[i]);
-    enc.padTo(TransactionRecord::kBytes);
-    std::copy(buf.begin(), buf.end(), out.begin());
+    using R = TransactionRecord;
+    NASD_ASSERT(out.size() >= R::kBytes);
+    std::uint8_t *p = out.data();
+    std::memcpy(p + R::kTxnIdOffset, &record.txn_id, sizeof(record.txn_id));
+    std::memcpy(p + R::kStoreIdOffset, &record.store_id,
+                sizeof(record.store_id));
+    p[R::kItemCountOffset] = record.item_count;
+    std::memcpy(p + R::kItemsOffset, record.items.data(),
+                sizeof(record.items));
+    std::memset(p + R::kPadOffset, 0, R::kBytes - R::kPadOffset);
 }
 
 TransactionRecord
 decodeRecord(std::span<const std::uint8_t> in)
 {
-    NASD_ASSERT(in.size() >= TransactionRecord::kBytes);
-    util::Decoder dec(in);
+    using R = TransactionRecord;
     TransactionRecord record;
-    record.txn_id = dec.get<std::uint64_t>();
-    record.store_id = dec.get<std::uint32_t>();
-    record.item_count = dec.get<std::uint8_t>();
-    for (std::size_t i = 0; i < TransactionRecord::kMaxItems; ++i)
-        record.items[i] = dec.get<std::uint32_t>();
+    record.item_count =
+        static_cast<std::uint8_t>(decodeItems(in, record.items));
+    std::memcpy(&record.txn_id, in.data() + R::kTxnIdOffset,
+                sizeof(record.txn_id));
+    std::memcpy(&record.store_id, in.data() + R::kStoreIdOffset,
+                sizeof(record.store_id));
     return record;
 }
 

@@ -12,7 +12,9 @@
 #ifndef NASD_UTIL_RNG_H_
 #define NASD_UTIL_RNG_H_
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -123,8 +125,14 @@ class Rng
  *
  * Used by the retail-transaction workload generator: item popularity in
  * sales data is heavy-tailed, which is what makes frequent-itemset
- * mining interesting. Precomputes the CDF once; sampling is a binary
- * search.
+ * mining interesting. Precomputes the CDF once. A draw returns the
+ * first rank whose CDF is at least u, found through a guide table of
+ * G = max(1024, bit_ceil(n)) entries: guide_[j] is that rank for
+ * u = j / G, a lower bound on the answer for every u in
+ * [j / G, (j + 1) / G), so a forward scan from it ends at exactly the
+ * rank a binary search over the CDF would return. The buckets hold
+ * n ranks between them and G >= n, so for any skew a draw scans less
+ * than one step on average.
  */
 class ZipfSampler
 {
@@ -133,7 +141,8 @@ class ZipfSampler
      * @param n Number of distinct values (ranks).
      * @param theta Skew; 0 = uniform, ~0.99 = classic Zipf.
      */
-    ZipfSampler(std::size_t n, double theta) : cdf_(n)
+    ZipfSampler(std::size_t n, double theta)
+        : cdf_(n), guide_(std::max<std::size_t>(1024, std::bit_ceil(n)))
     {
         NASD_ASSERT(n > 0);
         double sum = 0.0;
@@ -143,29 +152,43 @@ class ZipfSampler
         }
         for (auto &v : cdf_)
             v /= sum;
+        // cdf_.back() is exactly 1 (sum / sum), so every scan for a
+        // u < 1 stops by the last rank. j / G and u * G are exact
+        // because G is a power of two.
+        const auto g = static_cast<double>(guide_.size());
+        std::size_t rank = 0;
+        for (std::size_t j = 0; j < guide_.size(); ++j) {
+            const double u = static_cast<double>(j) / g;
+            while (cdf_[rank] < u)
+                ++rank;
+            guide_[j] = rank;
+        }
     }
 
     /** Draw a rank in [0, n); rank 0 is the most popular. */
+    std::size_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
+
+    /**
+     * The rank a draw of @p u yields: the first rank whose CDF is at
+     * least @p u.
+     * @pre 0 <= u < 1.
+     */
     std::size_t
-    sample(Rng &rng) const
+    rankOf(double u) const
     {
-        const double u = rng.uniform();
-        std::size_t lo = 0;
-        std::size_t hi = cdf_.size() - 1;
-        while (lo < hi) {
-            const std::size_t mid = lo + (hi - lo) / 2;
-            if (cdf_[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return lo;
+        NASD_ASSERT(u >= 0.0 && u < 1.0);
+        std::size_t rank = guide_[static_cast<std::size_t>(
+            u * static_cast<double>(guide_.size()))];
+        while (cdf_[rank] < u)
+            ++rank;
+        return rank;
     }
 
     std::size_t size() const { return cdf_.size(); }
 
   private:
     std::vector<double> cdf_;
+    std::vector<std::size_t> guide_;
 };
 
 } // namespace nasd::util

@@ -45,6 +45,34 @@ TEST(Transactions, RecordRoundTrip)
     EXPECT_EQ(back.items[2], 30u);
 }
 
+/** 64-bit FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(std::span<const std::uint8_t> bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Transactions, ChunkBytesArePinned)
+{
+    // Digests of the dataset as first generated (byte-at-a-time
+    // encoder, binary-search Zipf draw). A codec or sampler change that
+    // moves a single byte of the benchmarks' dataset fails here.
+    DatasetParams other;
+    other.seed = 7;
+    other.catalog_items = 500;
+    const TransactionGenerator base(DatasetParams{});
+    const TransactionGenerator alt(other);
+    EXPECT_EQ(fnv1a(base.chunk(0)), 0xebed99f215ddc1c8ull);
+    EXPECT_EQ(fnv1a(base.chunk(149)), 0xf4c371f1a889c05aull);
+    EXPECT_EQ(fnv1a(alt.chunk(0)), 0xb7c5cdfec5805724ull);
+    EXPECT_EQ(fnv1a(alt.chunk(149)), 0x9bfe44ca9d501c46ull);
+}
+
 TEST(Transactions, ChunksAreDeterministic)
 {
     TransactionGenerator gen(DatasetParams{});
@@ -96,6 +124,29 @@ TEST(Mining, PlantedPairIsFrequent)
     // Items 1 and 2 appear in at least half the records.
     EXPECT_GT(counts[1], kRecordsPerChunk / 3);
     EXPECT_GT(counts[2], kRecordsPerChunk / 3);
+}
+
+TEST(Mining, CorruptItemCountIsClamped)
+{
+    // A count byte of 0xFF reads as kMaxItems: every item slot counts,
+    // and nothing past the slots is read.
+    TransactionGenerator gen(DatasetParams{});
+    auto corrupt = gen.chunk(0);
+    auto clamped = corrupt;
+    const std::size_t record = 5 * TransactionRecord::kBytes;
+    corrupt[record + TransactionRecord::kItemCountOffset] = 0xFF;
+    clamped[record + TransactionRecord::kItemCountOffset] =
+        TransactionRecord::kMaxItems;
+
+    EXPECT_EQ(decodeRecord(std::span<const std::uint8_t>(corrupt).subspan(
+                               record))
+                  .item_count,
+              TransactionRecord::kMaxItems);
+    EXPECT_EQ(countOneItemsets(corrupt, 1000),
+              countOneItemsets(clamped, 1000));
+    const std::vector<ItemSet> candidates = {{0}, {1, 2}, {0, 1, 2}};
+    EXPECT_EQ(countCandidates(corrupt, candidates),
+              countCandidates(clamped, candidates));
 }
 
 TEST(Mining, MergePartialCounts)

@@ -122,6 +122,64 @@ TEST(Zipf, AllRanksReachable)
     EXPECT_EQ(seen.size(), 5u);
 }
 
+/** The guide-table draw must return exactly what std::lower_bound over
+ *  an identically built CDF returns, for every u. */
+class ZipfRank
+    : public ::testing::TestWithParam<std::tuple<unsigned, double>>
+{};
+
+TEST_P(ZipfRank, MatchesLowerBoundOverCdf)
+{
+    const auto [n, theta] = GetParam();
+    const ZipfSampler zipf(n, theta);
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+        cdf[i] = sum;
+    }
+    for (auto &v : cdf)
+        v /= sum;
+    const auto expected = [&](double u) {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        return std::min<std::size_t>(it - cdf.begin(), n - 1);
+    };
+
+    // Every guide-table boundary j / G (G = max(1024, bit_ceil(n)) is
+    // at most 2^17 here) and the value just below it, u just below 1,
+    // each CDF value and its neighbours, and random draws.
+    std::vector<double> us = {std::nextafter(1.0, 0.0)};
+    for (int j = 0; j < (1 << 17); ++j) {
+        us.push_back(std::ldexp(j, -17));
+        if (j > 0)
+            us.push_back(std::nextafter(std::ldexp(j, -17), 0.0));
+    }
+    for (const double c : cdf) {
+        for (const double u : {std::nextafter(c, 0.0), c,
+                               std::nextafter(c, 2.0)}) {
+            if (u < 1.0)
+                us.push_back(u);
+        }
+    }
+    Rng rng(n);
+    for (int i = 0; i < 20000; ++i)
+        us.push_back(rng.uniform());
+    for (const double u : us)
+        ASSERT_EQ(zipf.rankOf(u), expected(u)) << "u = " << u;
+
+    // sample() is rankOf() of the next uniform draw.
+    Rng a(31);
+    Rng b = a;
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(zipf.sample(a), zipf.rankOf(b.uniform()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ZipfRank,
+    ::testing::Combine(::testing::Values(1u, 2u, 5u, 1000u, 1023u, 1024u,
+                                         1025u, 100000u),
+                       ::testing::Values(0.0, 0.5, 0.8, 0.99, 1.5)));
+
 TEST(SampleStats, BasicMoments)
 {
     SampleStats s;
