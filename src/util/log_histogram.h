@@ -2,16 +2,14 @@
  * @file
  * Mergeable log-bucketed latency histogram (HdrHistogram-style).
  *
- * SampleStats keeps a per-instance reservoir, so two instances cannot
- * be combined without re-observing the raw samples — a 256-drive run
- * emits 256 unlinked summaries and no fleet p99. LogHistogram fixes
- * that: values are binned into log-linear buckets (32 sub-buckets per
- * octave, so bucket width is at most 1/32 ≈ 3.1% of the value and the
- * reported midpoint is within ~1.6% of any sample in the bucket), and
- * a histogram is just its bucket counts. merge() adds counts
- * element-wise, which makes fleet rollups *exact*: merging N per-drive
- * histograms yields bit-identical buckets — and therefore identical
- * percentiles — to one histogram fed every sample directly.
+ * The registry's one latency instrument. Values are binned into
+ * log-linear buckets (32 sub-buckets per octave, so bucket width is at
+ * most 1/32 ≈ 3.1% of the value and the reported midpoint is within
+ * ~1.6% of any sample in the bucket), and a histogram is just its
+ * bucket counts. merge() adds counts element-wise, which makes fleet
+ * rollups *exact*: merging N per-drive histograms yields bit-identical
+ * buckets — and therefore identical percentiles — to one histogram fed
+ * every sample directly.
  *
  * record() is O(1) (a bit_width + shift), memory is one lazily-grown
  * dense vector (≤ ~1.9k buckets even for 2^63 ns values), and

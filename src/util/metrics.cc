@@ -20,8 +20,6 @@ kindName(int kind)
       case 1:
         return "gauge";
       case 2:
-        return "histogram";
-      case 3:
         return "latency";
     }
     return "?";
@@ -182,7 +180,7 @@ class JsonScanner
         return std::stod(std::string(text_.substr(start, pos_ - start)));
     }
 
-    /** Skip one complete JSON value (used for unknown/histogram keys). */
+    /** Skip one complete JSON value (used for unknown keys and sections). */
     void
     skipValue()
     {
@@ -237,9 +235,6 @@ MetricsRegistry::lookup(const std::string &path, Kind kind)
           case Kind::kGauge:
             e.gauge = std::make_unique<Gauge>();
             break;
-          case Kind::kHistogram:
-            e.histogram = std::make_unique<SampleStats>();
-            break;
           case Kind::kLatency:
             e.latency = std::make_unique<LogHistogram>();
             break;
@@ -262,12 +257,6 @@ Gauge &
 MetricsRegistry::gauge(const std::string &path)
 {
     return *lookup(path, Kind::kGauge).gauge;
-}
-
-SampleStats &
-MetricsRegistry::histogram(const std::string &path)
-{
-    return *lookup(path, Kind::kHistogram).histogram;
 }
 
 LogHistogram &
@@ -312,22 +301,6 @@ MetricsRegistry::toJson() const
             continue;
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(path)
            << "\": " << jsonNumber(e.gauge->value());
-        first = false;
-    }
-    os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
-    for (const auto &[path, e] : entries_) {
-        if (e.kind != Kind::kHistogram)
-            continue;
-        const SampleStats &h = *e.histogram;
-        os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(path)
-           << "\": {\"count\": " << h.count()
-           << ", \"mean\": " << jsonNumber(h.mean())
-           << ", \"min\": " << jsonNumber(h.min())
-           << ", \"max\": " << jsonNumber(h.max())
-           << ", \"p50\": " << jsonNumber(h.percentile(50))
-           << ", \"p95\": " << jsonNumber(h.percentile(95))
-           << ", \"p99\": " << jsonNumber(h.percentile(99)) << "}";
         first = false;
     }
     os << (first ? "" : "\n  ") << "},\n  \"latencies\": {";
@@ -470,16 +443,6 @@ MetricsRegistry::forEachGauge(
     for (const auto &[path, e] : entries_)
         if (e.kind == Kind::kGauge)
             fn(path, *e.gauge);
-}
-
-void
-MetricsRegistry::forEachHistogram(
-    const std::function<void(const std::string &, const SampleStats &)> &fn)
-    const
-{
-    for (const auto &[path, e] : entries_)
-        if (e.kind == Kind::kHistogram)
-            fn(path, *e.histogram);
 }
 
 void

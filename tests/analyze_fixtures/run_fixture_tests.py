@@ -25,7 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-EXPECT_RE = re.compile(r"//\s*EXPECT\[(A[1-8])\]")
+EXPECT_RE = re.compile(r"//\s*EXPECT\[(A[1-7])\]")
 
 
 def expected_findings(path):

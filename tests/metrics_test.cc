@@ -27,11 +27,7 @@ TEST(MetricsRegistry, CreateOnFirstUseIsPointerStable)
     Gauge &g = reg.gauge("fig6/read/raw/1MB_mbps");
     g.set(42.5);
     EXPECT_EQ(&reg.gauge("fig6/read/raw/1MB_mbps"), &g);
-
-    SampleStats &h = reg.histogram("drive0/ops/read/latency_ns");
-    h.add(1000.0);
-    EXPECT_EQ(&reg.histogram("drive0/ops/read/latency_ns"), &h);
-    EXPECT_EQ(reg.size(), 3u);
+    EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(MetricsRegistry, ContainsSeesAllKinds)
@@ -39,11 +35,9 @@ TEST(MetricsRegistry, ContainsSeesAllKinds)
     MetricsRegistry reg;
     reg.counter("a/count");
     reg.gauge("a/gauge");
-    reg.histogram("a/hist");
     reg.latency("a/latency_ns");
     EXPECT_TRUE(reg.contains("a/count"));
     EXPECT_TRUE(reg.contains("a/gauge"));
-    EXPECT_TRUE(reg.contains("a/hist"));
     EXPECT_TRUE(reg.contains("a/latency_ns"));
     EXPECT_FALSE(reg.contains("a/missing"));
 }
@@ -54,17 +48,14 @@ TEST(MetricsRegistryDeathTest, KindCollisionPanics)
     reg.counter("drive0/ops_served");
     EXPECT_DEATH(reg.gauge("drive0/ops_served"),
                  "registered as counter, requested as gauge");
-    EXPECT_DEATH(reg.histogram("drive0/ops_served"),
-                 "registered as counter, requested as histogram");
     EXPECT_DEATH(reg.latency("drive0/ops_served"),
                  "registered as counter, requested as latency");
 }
 
 TEST(MetricsRegistry, LatencySectionRoundTripsExactly)
 {
-    // Unlike SampleStats histograms (summarized on export), latency
-    // instruments serialize their full bucket state, so a reload is
-    // byte-identical to the original dump.
+    // Latency instruments serialize their full bucket state, so a
+    // reload is byte-identical to the original dump.
     MetricsRegistry reg;
     LogHistogram &h = reg.latency("nasd0/ops/read/latency_ns");
     h.record(1000);
@@ -108,17 +99,34 @@ TEST(MetricsRegistry, JsonRoundTripRestoresCountersAndGauges)
     EXPECT_EQ(loaded.toJson(), reg.toJson());
 }
 
-TEST(MetricsRegistry, JsonSummarizesHistograms)
+TEST(MetricsRegistry, ImportSkipsUnknownSections)
 {
-    MetricsRegistry reg;
-    SampleStats &h = reg.histogram("drive0/ops/read/latency_ns");
-    for (double v : {10.0, 20.0, 30.0})
-        h.add(v);
-    const std::string json = reg.toJson();
-    EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-    EXPECT_NE(json.find("drive0/ops/read/latency_ns"), std::string::npos);
-    EXPECT_NE(json.find("\"count\""), std::string::npos);
-    EXPECT_NE(json.find("\"p95\""), std::string::npos);
+    // Dumps written before the registry had a single latency store
+    // carry a "histograms" section; it loads as if absent.
+    MetricsRegistry src;
+    src.counter("drive0/ops/read/count").add(17);
+    src.gauge("fig9/nasd/8_disks_mbps").set(42.5);
+    LogHistogram &h = src.latency("nasd0/ops/read/latency_ns");
+    h.record(1000);
+    h.record(7'000'000);
+    const std::string json = src.toJson();
+    std::string legacy = json;
+    legacy.insert(legacy.find("\"latencies\""),
+                  "\"histograms\": {\"x\": {\"count\": 1, \"mean\": 2, "
+                  "\"p99\": 3}},\n  ");
+
+    MetricsRegistry loaded;
+    loaded.importJson(legacy);
+    EXPECT_EQ(loaded.size(), 3u);
+    EXPECT_FALSE(loaded.contains("x"));
+    EXPECT_EQ(loaded.counter("drive0/ops/read/count").value(), 17u);
+    EXPECT_DOUBLE_EQ(loaded.gauge("fig9/nasd/8_disks_mbps").value(), 42.5);
+    EXPECT_EQ(loaded.latency("nasd0/ops/read/latency_ns").count(), 2u);
+    EXPECT_EQ(loaded.latency("nasd0/ops/read/latency_ns").max(),
+              7'000'000u);
+    const std::string reexport = loaded.toJson();
+    EXPECT_EQ(reexport.find("\"histograms\""), std::string::npos);
+    EXPECT_EQ(reexport, json);
 }
 
 TEST(MetricsRegistryDeathTest, ImportRejectsMalformedJson)
@@ -136,13 +144,12 @@ TEST(MetricsRegistryDeathTest, ImportRejectsKindCollision)
     reg.counter("drive0/ops_served").add(3);
     EXPECT_DEATH(
         reg.importJson("{\"counters\": {}, "
-                       "\"gauges\": {\"drive0/ops_served\": 1.5}, "
-                       "\"histograms\": {}}"),
+                       "\"gauges\": {\"drive0/ops_served\": 1.5}}"),
         "importJson: 'drive0/ops_served' already registered as counter");
     reg.gauge("fig9/mbps").set(2.0);
     EXPECT_DEATH(
         reg.importJson("{\"counters\": {\"fig9/mbps\": 7}, "
-                       "\"gauges\": {}, \"histograms\": {}}"),
+                       "\"gauges\": {}}"),
         "importJson: 'fig9/mbps' already registered as gauge");
 }
 

@@ -6,7 +6,7 @@ mid-suspend resume, the GCC coroutine prvalue double-destroy, the
 refreshCaps UAF under suspended readers) was a coroutine-lifetime defect
 that line-regexes cannot see. This tool parses the sources into a small
 structural model — functions, parameters, lambdas with capture lists,
-suspension points — and runs eight checks over it:
+suspension points — and runs seven checks over it:
 
   A1 coro-ref-escape     Reference/pointer parameters and lambda
                          captures of a *detached* coroutine (one whose
@@ -70,16 +70,6 @@ suspension points — and runs eight checks over it:
                          to tools/flight_report.py post-mortems.
                          Opt out with `// nasd-analyze:
                          no-flight-journal`.
-  A8 reservoir-latency   A latency instrument backed by
-                         util::SampleStats outside src/util/: a
-                         SampleStats-typed declaration whose name
-                         mentions latency, or a registry .histogram()
-                         lookup whose path literal does. Reservoirs
-                         subsample past capacity, so merging them is
-                         inexact and fleet rollups over them misstate
-                         the tail; latency paths must use
-                         MetricsRegistry::latency() (LogHistogram:
-                         O(1) record, exact merge).
 
 Backends:
   * builtin (default)  — a self-contained C++ lexer + structural parser,
@@ -1360,64 +1350,6 @@ def check_a7(model, findings):
             ))
 
 
-def check_a8(model, findings):
-    """Latency instruments outside src/util must be LogHistogram.
-
-    A SampleStats reservoir subsamples past its capacity, so merging
-    two reservoirs is not exact and fleet rollups built on them lie
-    about the tail. MetricsRegistry::latency() (util::LogHistogram)
-    merges exactly and is the only sanctioned latency instrument
-    outside src/util/. Flag (a) a SampleStats-typed declaration whose
-    name mentions latency, and (b) a registry `.histogram(...)` lookup
-    whose path literal names a latency instrument — both should be
-    `latency()` / LogHistogram.
-    """
-    if model.rel.startswith("src/util/"):
-        return
-    tokens = model.tokens
-    n = len(tokens)
-    for i, t in enumerate(tokens):
-        if t.kind != "ident":
-            continue
-        if t.text == "SampleStats":
-            j = i + 1
-            while j < n and tokens[j].text in ("&", "*", "const"):
-                j += 1
-            if (j < n and tokens[j].kind == "ident"
-                    and "latency" in tokens[j].text.lower()):
-                sym = enclosing_symbol(model, i)
-                findings.append(Finding(
-                    "A8", model.rel, t.line, f"{sym}:{tokens[j].text}",
-                    f"SampleStats latency instrument '{tokens[j].text}' "
-                    "outside src/util: reservoir subsampling makes "
-                    "merges inexact, so fleet rollups over it misstate "
-                    "the tail",
-                    "use util::LogHistogram via "
-                    "MetricsRegistry::latency(path) — O(1) record, "
-                    "exact merge, <5% relative error",
-                ))
-        elif (t.text == "histogram" and i + 1 < n
-                and tokens[i + 1].text == "("
-                and i > 0 and tokens[i - 1].text in (".", "->")):
-            close = match_forward(tokens, i + 1, "(", ")")
-            if close is None:
-                continue
-            for j in range(i + 2, close):
-                if (tokens[j].kind == "string"
-                        and "latency" in tokens[j].text):
-                    sym = enclosing_symbol(model, i)
-                    findings.append(Finding(
-                        "A8", model.rel, tokens[j].line,
-                        f"{sym}:histogram:latency",
-                        "latency path registered through .histogram() "
-                        "(SampleStats) outside src/util: the reservoir "
-                        "cannot be merged exactly across the fleet",
-                        "register the path with .latency() "
-                        "(util::LogHistogram) instead",
-                    ))
-                    break
-
-
 CHECKS = {
     "A1": "coro-ref-escape",
     "A2": "discarded-task",
@@ -1426,7 +1358,6 @@ CHECKS = {
     "A5": "missing-deadline",
     "A6": "raw-event-access",
     "A7": "silent-injection",
-    "A8": "reservoir-latency",
 }
 
 
@@ -1448,8 +1379,6 @@ def run_checks(models, checks):
             check_a6(model, findings)
         if "A7" in checks:
             check_a7(model, findings)
-        if "A8" in checks:
-            check_a8(model, findings)
     return findings
 
 
@@ -1639,7 +1568,7 @@ def discover_sources(root):
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description="AST-level coroutine-safety and sim-determinism "
-        "analyzer (checks A1-A8; see module docstring)",
+        "analyzer (checks A1-A7; see module docstring)",
     )
     ap.add_argument("files", nargs="*", help="files to analyze "
                     "(default: all of src/ under --root)")
@@ -1658,7 +1587,7 @@ def main(argv=None):
                     "tools/analyze_baseline.json)")
     ap.add_argument("--no-baseline", action="store_true",
                     help="ignore the baseline (fixture/self-test mode)")
-    ap.add_argument("--checks", default="A1,A2,A3,A4,A5,A6,A7,A8",
+    ap.add_argument("--checks", default="A1,A2,A3,A4,A5,A6,A7",
                     help="comma-separated subset of checks to run")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--list-checks", action="store_true")
