@@ -3,8 +3,9 @@
  * Wall-clock microbenchmarks (google-benchmark) for the real
  * computational kernels of the library — the pieces that execute
  * actual work rather than simulated time: SHA-256/HMAC, capability
- * mint/verify, the byte codec, the extent allocator, and the
- * frequent-sets counting kernel.
+ * mint/verify, the byte codec, the extent allocator, the
+ * frequent-sets counting kernel, and the host cost of one object-store
+ * read miss (the simulator's own data path).
  *
  * These measure THIS implementation on THIS host; they are not part of
  * the paper reproduction, but they justify design choices (e.g. that
@@ -18,10 +19,16 @@
 
 #include "apps/frequent_sets.h"
 #include "apps/transactions.h"
+#include "bench/bench_util.h"
 #include "crypto/hmac.h"
 #include "crypto/keychain.h"
+#include "disk/disk_model.h"
+#include "disk/params.h"
+#include "disk/striping.h"
 #include "nasd/allocator.h"
 #include "nasd/capability.h"
+#include "nasd/object_store.h"
+#include "sim/simulator.h"
 #include "util/codec.h"
 #include "util/rng.h"
 
@@ -166,6 +173,44 @@ BM_FrequentSetsCounting(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * apps::kChunkBytes);
 }
 BENCHMARK(BM_FrequentSetsCounting);
+
+void
+BM_StoreRead512KMiss(benchmark::State &state)
+{
+    // A prototype drive's data path: two Medallists behind the 32 KB
+    // striping driver. A one-unit data cache makes every 512 KB read a
+    // store miss (device time charged, bytes copied out of the disks'
+    // backing stores).
+    constexpr std::uint64_t kRead = 512 * 1024;
+    constexpr std::uint64_t kObject = 8 * kRead;
+    sim::Simulator sim;
+    disk::DiskModel d0(sim, disk::medallistParams());
+    disk::DiskModel d1(sim, disk::medallistParams());
+    disk::StripingDriver striped(sim, {&d0, &d1}, 32 * 1024);
+    StoreConfig config;
+    config.data_cache_bytes = 0;
+    ObjectStore store(sim, striped, config);
+    sim.spawn(store.format());
+    sim.run();
+    (void)store.createPartition(0, 2 * kObject);
+    const ObjectId oid =
+        bench::runFor(sim, store.createObject(0, kObject)).value();
+    std::vector<std::uint8_t> buf(kRead, 0x5a);
+    for (std::uint64_t off = 0; off < kObject; off += kRead)
+        (void)bench::runFor(sim, store.write(0, oid, off, buf));
+
+    std::uint64_t offset = 0;
+    for (auto _ : state) {
+        auto got = bench::runFor(sim, store.read(0, oid, offset, buf));
+        benchmark::DoNotOptimize(got);
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
+        offset = (offset + kRead) % kObject;
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kRead));
+}
+BENCHMARK(BM_StoreRead512KMiss);
 
 } // namespace
 

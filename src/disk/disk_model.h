@@ -9,7 +9,8 @@
  * write-behind buffer that acknowledges writes at bus speed and drains
  * to media in the background.
  *
- * Data is real (a sparse byte store); only time is modeled. The model
+ * Data is real (a sparse byte store); only time is modeled, by
+ * readTimed()/writeTimed() (see block_device.h). The model
  * reproduces the behaviours Figure 6 of the paper depends on:
  *  - single outstanding sequential reads see media and bus time in
  *    series (no overlap), ~2.5 MB/s per Medallist;
@@ -64,12 +65,10 @@ class DiskModel : public BlockDevice
     std::uint32_t blockSize() const override { return params_.block_size; }
     std::uint64_t numBlocks() const override { return params_.totalBlocks(); }
 
-    sim::Task<void> read(std::uint64_t block, std::uint32_t count,
-                         std::span<std::uint8_t> out,
-                         util::OpAttribution *attr = nullptr) override;
-    sim::Task<void> write(std::uint64_t block, std::uint32_t count,
-                          std::span<const std::uint8_t> data,
-                          util::OpAttribution *attr = nullptr) override;
+    sim::Task<void> readTimed(std::uint64_t block, std::uint32_t count,
+                              util::OpAttribution *attr = nullptr) override;
+    sim::Task<void> writeTimed(std::uint64_t block, std::uint32_t count,
+                               util::OpAttribution *attr = nullptr) override;
     sim::Task<void> flush() override;
 
     void
@@ -85,6 +84,16 @@ class DiskModel : public BlockDevice
     {
         data_.write(byte_offset, data);
     }
+
+    void
+    zero(std::uint64_t byte_offset, std::uint64_t length) override
+    {
+        data_.trim(byte_offset, length);
+    }
+
+    /** Host memory holding this disk's bytes (the sparse store's
+     *  allocated chunks); a host-cost figure, not a simulated one. */
+    std::size_t backingBytes() const { return data_.allocatedBytes(); }
 
     const DiskParams &params() const { return params_; }
     const DiskStats &stats() const { return stats_; }

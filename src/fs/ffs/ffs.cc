@@ -27,16 +27,6 @@ namespace {
 
 constexpr std::uint32_t kIndirectPointers = 2048; // 8 KB / 4 B
 
-/** Background device write that owns its buffer. */
-sim::Task<void>
-writeDeviceOwned(disk::BlockDevice &dev, std::uint64_t block,
-                 std::vector<std::uint8_t> data)
-{
-    const auto count =
-        static_cast<std::uint32_t>(data.size() / dev.blockSize());
-    co_await dev.write(block, count, data);
-}
-
 } // namespace
 
 const char *
@@ -206,10 +196,9 @@ FfsFileSystem::touchBlockMap(Inode &inode, std::uint64_t index)
         const std::uint32_t cache_id = total_fs_blocks_ + meta_fs_block;
         if (cache_->touch(cache_id))
             continue;
-        std::vector<std::uint8_t> buf(params_.fs_block_bytes);
-        co_await device_.read(static_cast<std::uint64_t>(meta_fs_block) *
-                                  deviceBlocksPerFsBlock(),
-                              deviceBlocksPerFsBlock(), buf);
+        co_await device_.readTimed(static_cast<std::uint64_t>(meta_fs_block) *
+                                       deviceBlocksPerFsBlock(),
+                                   deviceBlocksPerFsBlock());
         cache_->insert(cache_id);
     }
 }
@@ -347,10 +336,10 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
                     ++j;
                 }
                 const auto run = static_cast<std::uint32_t>(j - i + 1);
-                std::vector<std::uint8_t> buf(run * fsb);
-                co_await device_.read(fsBlockToDeviceBlock(inode.blocks[i]),
-                                      run * deviceBlocksPerFsBlock(), buf);
-                stats_.cache_miss_bytes.add(buf.size());
+                co_await device_.readTimed(
+                    fsBlockToDeviceBlock(inode.blocks[i]),
+                    run * deviceBlocksPerFsBlock());
+                stats_.cache_miss_bytes.add(run * fsb);
                 for (std::uint64_t k = i; k <= j; ++k)
                     cache_->insert(inode.blocks[k]);
                 i = j + 1;
@@ -391,11 +380,9 @@ FfsFileSystem::readBlocks(Inode &inode, std::uint64_t offset,
                             }
                             const auto run =
                                 static_cast<std::uint32_t>(rj - ri + 1);
-                            std::vector<std::uint8_t> buf(
-                                run * fs.params_.fs_block_bytes);
-                            co_await fs.device_.read(
+                            co_await fs.device_.readTimed(
                                 fs.fsBlockToDeviceBlock(blocks[ri]),
-                                run * fs.deviceBlocksPerFsBlock(), buf);
+                                run * fs.deviceBlocksPerFsBlock());
                             for (std::size_t k = ri; k <= rj; ++k)
                                 fs.cache_->insert(blocks[k]);
                             ri = rj + 1;
@@ -468,22 +455,20 @@ FfsFileSystem::writeBlocks(Inode &inode, std::uint64_t offset,
             cache_->insert(inode.blocks[i]);
 
         // Media update: whole containing device blocks, one write.
+        // Their bytes are all on the device already; only the time is
+        // left to charge.
         const std::uint32_t bs = device_.blockSize();
         const std::uint64_t aligned_start = device_byte / bs * bs;
         const std::uint64_t aligned_end = (device_byte + (p_end - pos) +
                                            bs - 1) /
                                           bs * bs;
-        std::vector<std::uint8_t> out(
-            static_cast<std::size_t>(aligned_end - aligned_start));
-        device_.peek(aligned_start, out);
-        if (wait_for_media) {
-            co_await device_.write(
-                aligned_start / bs,
-                static_cast<std::uint32_t>(out.size() / bs), out);
-        } else {
-            sim_.spawn(writeDeviceOwned(device_, aligned_start / bs,
-                                        std::move(out)));
-        }
+        auto media = device_.writeTimed(
+            aligned_start / bs,
+            static_cast<std::uint32_t>((aligned_end - aligned_start) / bs));
+        if (wait_for_media)
+            co_await media;
+        else
+            sim_.spawn(std::move(media));
         pos = p_end;
     }
     if (wait_for_media)

@@ -153,7 +153,7 @@ ExtentAllocator::unref(const Extent &extent)
         releaseRun(run_start, run_len);
 }
 
-std::vector<std::uint8_t>
+const std::vector<std::uint8_t> &
 ExtentAllocator::serializeRefcounts() const
 {
     return refs_;

@@ -68,8 +68,8 @@ class ExtentAllocator
         return refs_.at(unit) != 0;
     }
 
-    /** Serialize per-unit refcounts (one byte per unit). */
-    std::vector<std::uint8_t> serializeRefcounts() const;
+    /** Serialized per-unit refcounts (one byte per unit). */
+    const std::vector<std::uint8_t> &serializeRefcounts() const;
 
     /** Rebuild allocator state from serialized refcounts. */
     static ExtentAllocator

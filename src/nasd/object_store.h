@@ -296,6 +296,9 @@ class ObjectStore
     std::vector<std::uint8_t> encodeInode(const Inode &inode) const;
     Inode decodeInode(std::span<const std::uint8_t> block) const;
 
+    /** Land @p bytes at @p block now and queue the media write's
+     *  simulated time (write-behind: nobody waits for it). */
+    void writeBack(std::uint64_t block, std::span<const std::uint8_t> bytes);
     /** Queue an asynchronous metadata write-back of the superblock. */
     void writeBackSuperblock();
     /** Queue an asynchronous write-back of one inode block. */

@@ -25,10 +25,8 @@ SparseStore::write(std::uint64_t offset, std::span<const std::uint8_t> data)
             std::min(data.size() - done, chunk_size_ - within);
 
         auto &chunk = chunks_[chunk_index];
-        if (!chunk) {
+        if (!chunk) // value-initialised: a new chunk reads as zeros
             chunk = std::make_unique<std::uint8_t[]>(chunk_size_);
-            std::memset(chunk.get(), 0, chunk_size_);
-        }
         std::memcpy(chunk.get() + within, data.data() + done, take);
         done += take;
     }

@@ -31,7 +31,8 @@ class SparseStore
     /** Copy bytes [offset, offset + out.size()) into @p out. */
     void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
-    /** Fill [offset, offset+length) with zeros, freeing whole chunks. */
+    /** Fill [offset, offset+length) with zeros, freeing whole chunks;
+     *  never allocates (an absent chunk already reads as zeros). */
     void trim(std::uint64_t offset, std::uint64_t length);
 
     /** Bytes of backing memory currently allocated. */

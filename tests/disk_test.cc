@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "disk/disk_model.h"
@@ -92,6 +94,21 @@ TEST(SparseStore, PartialTrimZeroes)
     for (int i = 100; i < 150; ++i)
         EXPECT_EQ(out[i], 0);
     EXPECT_EQ(out[150], orig[150]);
+}
+
+TEST(SparseStore, ZeroOnAbsentChunkAllocatesNothing)
+{
+    util::SparseStore store(4096);
+    store.trim(100, 50); // partial zero of an absent chunk
+    EXPECT_EQ(store.allocatedBytes(), 0u);
+    store.write(0, pattern(4096));
+    store.trim(4096 + 10, 100); // chunk 1 is absent
+    store.trim(2 * 4096, 3 * 4096); // whole absent chunks
+    EXPECT_EQ(store.allocatedBytes(), 4096u);
+    std::vector<std::uint8_t> out(3 * 4096, 0xff);
+    store.read(4096, out);
+    for (auto b : out)
+        EXPECT_EQ(b, 0);
 }
 
 // ----------------------------------------------------------------- disk
@@ -356,6 +373,210 @@ TEST(Striping, SequentialApparentBandwidthNearPaperRawRead)
         4.0 / sim::toSeconds(sim.now() - start); // 4 MB total
     EXPECT_GT(mbs, 3.5);
     EXPECT_LT(mbs, 7.0);
+}
+
+// ------------------------------------------------ timing-only operations
+
+/** How a script op reaches the device: the composed read()/write(), or
+ *  readTimed() + peek() and poke() + writeTimed(). */
+enum class Path
+{
+    kComposed,
+    kTimed,
+};
+
+struct ScriptOp
+{
+    bool write;
+    std::uint64_t block;
+    std::uint32_t count;
+    Tick start;
+};
+
+struct OpOutcome
+{
+    Tick done = 0;
+    util::OpAttribution attr;
+    std::vector<std::uint8_t> bytes; ///< what a read saw at completion
+};
+
+/** One script op on @p dev, started at op.start, with attribution. */
+Task<void>
+runOp(Simulator &sim, BlockDevice &dev, ScriptOp op, Path path,
+      OpOutcome &o)
+{
+    co_await sim.delay(op.start);
+    const std::size_t bytes =
+        static_cast<std::size_t>(op.count) * dev.blockSize();
+    const std::uint64_t at = op.block * dev.blockSize();
+    if (op.write) {
+        const auto data = pattern(bytes, static_cast<std::uint8_t>(op.block));
+        if (path == Path::kComposed) {
+            co_await dev.write(op.block, op.count, data, &o.attr);
+        } else {
+            dev.poke(at, data);
+            co_await dev.writeTimed(op.block, op.count, &o.attr);
+        }
+    } else {
+        o.bytes.resize(bytes);
+        if (path == Path::kComposed) {
+            co_await dev.read(op.block, op.count, o.bytes, &o.attr);
+        } else {
+            co_await dev.readTimed(op.block, op.count, &o.attr);
+            dev.peek(at, o.bytes);
+        }
+    }
+    o.done = sim.now();
+}
+
+/** Start every op of @p ops concurrently on @p dev and run to
+ *  quiescence. */
+std::vector<OpOutcome>
+runScript(Simulator &sim, BlockDevice &dev, const std::vector<ScriptOp> &ops,
+          Path path)
+{
+    std::vector<OpOutcome> out(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i)
+        sim.spawn(runOp(sim, dev, ops[i], path, out[i]));
+    sim.run();
+    return out;
+}
+
+std::vector<std::uint64_t>
+counters(const DiskModel &d)
+{
+    const DiskStats &s = d.stats();
+    return {s.reads.value(),          s.writes.value(),
+            s.cache_hits.value(),     s.cache_misses.value(),
+            s.media_blocks_read.value(), s.media_blocks_written.value(),
+            s.seeks.value(),          s.bus_wait_ns.value(),
+            s.bus_service_ns.value(), s.mech_wait_ns.value(),
+            s.mech_service_ns.value()};
+}
+
+void
+expectSameOutcomes(const std::vector<OpOutcome> &a,
+                   const std::vector<OpOutcome> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("op " + std::to_string(i));
+        EXPECT_EQ(a[i].done, b[i].done);
+        EXPECT_EQ(a[i].attr.wait_ns, b[i].attr.wait_ns);
+        EXPECT_EQ(a[i].attr.service_ns, b[i].attr.service_ns);
+        EXPECT_EQ(a[i].bytes, b[i].bytes);
+    }
+}
+
+/** Overlapping reads and writes: queueing on bus and mechanism, cache
+ *  hits, readahead streaming, seeks, and write invalidation. */
+std::vector<ScriptOp>
+mixedScript()
+{
+    return {
+        {true, 0, 64, 0},
+        {false, 0, 64, 0},
+        {false, 40000, 128, sim::usec(10)},
+        {false, 64, 64, sim::msec(40)},
+        {true, 100, 16, sim::msec(41)},
+        {false, 96, 32, sim::msec(42)},
+        {true, 2000, 1024, sim::msec(60)},
+        {true, 3024, 1024, sim::msec(60)},
+        {false, 2000, 300, sim::msec(300)},
+    };
+}
+
+TEST(DiskModel, TimedOpsMatchComposedOps)
+{
+    for (const bool write_behind : {true, false}) {
+        SCOPED_TRACE(write_behind ? "write-behind" : "write-through");
+        auto params = medallistParams();
+        params.write_behind = write_behind;
+        Simulator sim_a;
+        Simulator sim_b;
+        DiskModel a(sim_a, params);
+        DiskModel b(sim_b, params);
+        const auto got_a = runScript(sim_a, a, mixedScript(),
+                                     Path::kComposed);
+        const auto got_b = runScript(sim_b, b, mixedScript(), Path::kTimed);
+        expectSameOutcomes(got_a, got_b);
+        EXPECT_EQ(sim_a.now(), sim_b.now());
+        EXPECT_EQ(counters(a), counters(b));
+        EXPECT_EQ(a.backingBytes(), b.backingBytes());
+    }
+}
+
+TEST(Striping, TimedOpsMatchComposedOpsAcrossExtents)
+{
+    Simulator sim_a;
+    Simulator sim_b;
+    DiskModel a0(sim_a, medallistParams());
+    DiskModel a1(sim_a, medallistParams());
+    DiskModel b0(sim_b, medallistParams());
+    DiskModel b1(sim_b, medallistParams());
+    StripingDriver a(sim_a, {&a0, &a1}, 32 * kKB);
+    StripingDriver b(sim_b, {&b0, &b1}, 32 * kKB);
+    // 32 + 300 blocks of 64-block units: two extents, each coalescing
+    // several stripe-unit pieces, so every op takes the normalised
+    // fan-out path.
+    const std::vector<ScriptOp> ops = {
+        {true, 32, 300, 0},
+        {false, 32, 300, 0},
+        {false, 0, 1024, sim::msec(5)},
+        {true, 500, 200, sim::msec(90)},
+        {false, 448, 320, sim::msec(91)},
+    };
+    const auto got_a = runScript(sim_a, a, ops, Path::kComposed);
+    const auto got_b = runScript(sim_b, b, ops, Path::kTimed);
+    expectSameOutcomes(got_a, got_b);
+    for (const auto &o : got_b)
+        EXPECT_GT(o.attr.totalNs(), 0u);
+    EXPECT_EQ(sim_a.now(), sim_b.now());
+    EXPECT_EQ(counters(a0), counters(b0));
+    EXPECT_EQ(counters(a1), counters(b1));
+}
+
+TEST(Striping, ExtentsLandCallerBytesOnTheRightMembers)
+{
+    Simulator sim;
+    DiskModel d0(sim, medallistParams());
+    DiskModel d1(sim, medallistParams());
+    StripingDriver stripe(sim, {&d0, &d1}, 32 * kKB);
+    constexpr std::size_t kUnit = 32 * kKB;
+
+    // Blocks 32..96 are one piece per member: the second half of unit
+    // 0 (disk 0) and the first half of unit 1 (disk 1).
+    const auto one_piece = pattern(kUnit, 5);
+    timed(sim, stripe.write(32, 64, one_piece));
+    std::vector<std::uint8_t> half(kUnit / 2);
+    d0.peek(kUnit / 2, half);
+    EXPECT_TRUE(std::equal(half.begin(), half.end(), one_piece.begin()));
+    d1.peek(0, half);
+    EXPECT_TRUE(std::equal(half.begin(), half.end(),
+                           one_piece.begin() + kUnit / 2));
+    std::vector<std::uint8_t> out(kUnit);
+    timed(sim, stripe.read(32, 64, out));
+    EXPECT_EQ(out, one_piece);
+
+    // Units 4..7: each member's extent coalesces two pieces that are
+    // not adjacent in the caller's buffer.
+    const auto multi = pattern(4 * kUnit, 9);
+    timed(sim, stripe.write(4 * 64, 4 * 64, multi));
+    std::vector<std::uint8_t> unit(kUnit);
+    for (std::size_t u = 0; u < 4; ++u) {
+        DiskModel &member = u % 2 == 0 ? d0 : d1;
+        member.peek((2 + u / 2) * kUnit, unit);
+        EXPECT_TRUE(std::equal(unit.begin(), unit.end(),
+                               multi.begin() + u * kUnit))
+            << "unit " << u;
+    }
+    out.resize(4 * kUnit);
+    timed(sim, stripe.read(4 * 64, 4 * 64, out));
+    EXPECT_EQ(out, multi);
+    // The one-piece range was left alone.
+    out.resize(kUnit);
+    timed(sim, stripe.read(32, 64, out));
+    EXPECT_EQ(out, one_piece);
 }
 
 } // namespace

@@ -6,11 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "disk/disk_model.h"
 #include "disk/params.h"
+#include "disk/striping.h"
 #include "nasd/allocator.h"
+#include "nasd/drive.h"
 #include "nasd/object_store.h"
 #include "sim/simulator.h"
 #include "util/units.h"
@@ -575,6 +578,42 @@ TEST_F(ObjectStoreTest, SecondReadHitsDriveCache)
     // Just written: everything resident.
     EXPECT_EQ(trace.device_bytes_read, 0u);
     EXPECT_EQ(trace.cache_hit_bytes, 64 * kKB);
+}
+
+
+// ------------------------------------------------------- host footprint
+
+TEST(NasdStore, FormatMaterializesNoZeroChunks)
+{
+    // A prototype drive: two disks behind the striping driver. Format
+    // zeroes the refcount and inode regions (charged as full-size
+    // writes) but must not allocate host memory for those zeros; only
+    // the superblock's chunk is materialised.
+    const DriveConfig cfg = prototypeDriveConfig("nasd0", 0);
+    Simulator sim;
+    std::vector<std::unique_ptr<disk::DiskModel>> disks;
+    std::vector<disk::BlockDevice *> members;
+    for (int i = 0; i < cfg.num_disks; ++i) {
+        disks.push_back(
+            std::make_unique<disk::DiskModel>(sim, cfg.disk_params));
+        members.push_back(disks.back().get());
+    }
+    disk::StripingDriver striped(sim, members, cfg.stripe_unit_bytes);
+    ObjectStore store(sim, striped, cfg.store);
+    sim.spawn(store.format());
+    sim.run();
+
+    constexpr std::size_t chunk = 64 * kKB; // SparseStore's default granule
+    std::size_t total = 0;
+    for (const auto &d : disks) {
+        EXPECT_LE(d->backingBytes(), chunk);
+        total += d->backingBytes();
+    }
+    EXPECT_EQ(total, chunk); // the superblock
+    // The format was still charged: every region was written.
+    EXPECT_GT(disks[0]->stats().media_blocks_written.value() +
+                  disks[1]->stats().media_blocks_written.value(),
+              std::uint64_t{cfg.store.max_inodes});
 }
 
 } // namespace
