@@ -1,6 +1,8 @@
 #include "cheops/cheops.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "net/rpc.h"
 #include "sim/sync.h"
@@ -14,6 +16,29 @@ namespace {
 constexpr std::uint64_t kControlPayload = 96;
 
 } // namespace
+
+void
+xorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src)
+{
+    NASD_ASSERT(dst.size() >= src.size(), "xorInto: ", src.size(),
+                " source bytes into a ", dst.size(), "-byte destination");
+    std::uint8_t *d = dst.data();
+    const std::uint8_t *s = src.data();
+    const std::size_t n = src.size();
+    std::size_t i = 0;
+    // Eight bytes per step; memcpy makes the unaligned loads and stores
+    // well-defined and compiles to plain moves.
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t a = 0;
+        std::uint64_t b = 0;
+        std::memcpy(&a, d + i, 8);
+        std::memcpy(&b, s + i, 8);
+        a ^= b;
+        std::memcpy(d + i, &a, 8);
+    }
+    for (; i < n; ++i)
+        d[i] ^= s[i];
+}
 
 const char *
 toString(CheopsStatus status)
@@ -775,8 +800,7 @@ CheopsManager::rebuildLoop(LogicalObjectId id)
             }
             if (r.value().size() > unit.size())
                 unit.resize(r.value().size(), 0);
-            for (std::size_t j = 0; j < r.value().size(); ++j)
-                unit[j] ^= r.value()[j];
+            xorInto(unit, r.value());
         }
         if (failed) {
             // A second component died: the rebuild cannot finish.
@@ -1174,15 +1198,16 @@ CheopsClient::rebuildUnlock(LogicalObjectId id, std::uint64_t ticket)
     (void)reply.status; // the permit is released or the rebuild is gone
 }
 
-sim::Task<StoreResult<std::vector<std::uint8_t>>>
+sim::Task<StoreResult<std::uint64_t>>
 CheopsClient::readComponent(OpenState *open, LogicalObjectId id,
                             std::uint32_t comp, std::uint64_t offset,
-                            std::uint64_t length, util::TraceContext ctx)
+                            std::span<std::uint8_t> out,
+                            util::TraceContext ctx)
 {
     auto &ref = open->map.components[comp];
     auto &cred = *open->creds[comp];
     auto data =
-        co_await drive_clients_[ref.drive]->read(cred, offset, length, ctx);
+        co_await drive_clients_[ref.drive]->read(cred, offset, out, ctx);
     const bool parity = open->map.redundancy == Redundancy::kParity;
     if (!data.ok() &&
         (data.error() == NasdStatus::kExpiredCapability ||
@@ -1192,7 +1217,7 @@ CheopsClient::readComponent(OpenState *open, LogicalObjectId id,
         // the rebuild fence (elsewhere revoked must stay revoked).
         if (co_await refreshCaps(id, open->writable)) {
             data = co_await drive_clients_[ref.drive]->read(cred, offset,
-                                                            length, ctx);
+                                                            out, ctx);
         }
     }
     co_return data;
@@ -1220,40 +1245,46 @@ CheopsClient::writeComponent(OpenState *open, LogicalObjectId id,
     co_return wrote;
 }
 
-sim::Task<StoreResult<std::vector<std::uint8_t>>>
+sim::Task<StoreResult<std::uint64_t>>
 CheopsClient::reconstructRange(OpenState *open, LogicalObjectId id,
                                std::uint32_t dead, std::uint64_t offset,
-                               std::uint64_t length, util::TraceContext ctx)
+                               std::span<std::uint8_t> out,
+                               util::TraceContext ctx)
 {
     const std::uint64_t su = open->map.stripe_unit_bytes;
-    std::vector<std::uint8_t> out(length, 0);
 
     // Work in unit-aligned chunks so each XOR stays within one row:
     // component offset o belongs to row o / su on *every* component,
     // making reconstruction pure offset arithmetic.
-    auto rebuildChunk = [this, open, id, dead, ctx, &out,
+    auto rebuildChunk = [this, open, id, dead, ctx, out,
                          offset](std::uint64_t o, std::uint64_t len)
         -> sim::Task<StoreResult<std::uint64_t>> {
-        std::vector<sim::Task<StoreResult<std::vector<std::uint8_t>>>>
-            reads;
+        const auto survivors = open->map.components.size() - 1;
+        std::vector<std::uint8_t> bufs(survivors * len);
+        std::vector<sim::Task<StoreResult<std::uint64_t>>> reads;
         for (std::uint32_t c = 0;
              c < static_cast<std::uint32_t>(open->map.components.size());
              ++c) {
             if (c == dead)
                 continue;
-            reads.push_back(readComponent(open, id, c, o, len, ctx));
+            reads.push_back(readComponent(
+                open, id, c, o,
+                std::span<std::uint8_t>(bufs).subspan(reads.size() * len,
+                                                      len),
+                ctx));
         }
         auto got =
             co_await sim::parallelGather(net_.simulator(), std::move(reads));
+        auto dst = out.subspan(o - offset, len);
+        std::fill(dst.begin(), dst.end(), 0);
         std::uint64_t max_len = 0;
-        for (auto &r : got) {
-            if (!r.ok())
-                co_return util::Err{r.error()};
-            const auto &bytes = r.value();
-            max_len = std::max(max_len,
-                               static_cast<std::uint64_t>(bytes.size()));
-            for (std::size_t j = 0; j < bytes.size(); ++j)
-                out[o - offset + j] ^= bytes[j];
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            if (!got[i].ok())
+                co_return util::Err{got[i].error()};
+            const std::uint64_t n = got[i].value();
+            max_len = std::max(max_len, n);
+            xorInto(dst, std::span<const std::uint8_t>(bufs).subspan(
+                             i * len, n));
         }
         reconstructed_units_.add(1);
         co_return max_len;
@@ -1262,7 +1293,7 @@ CheopsClient::reconstructRange(OpenState *open, LogicalObjectId id,
     std::vector<sim::Task<StoreResult<std::uint64_t>>> chunks;
     std::vector<std::uint64_t> chunk_starts;
     std::uint64_t pos = offset;
-    const std::uint64_t end = offset + length;
+    const std::uint64_t end = offset + out.size();
     while (pos < end) {
         const std::uint64_t within = pos % su;
         const std::uint64_t take = std::min(end - pos, su - within);
@@ -1286,8 +1317,7 @@ CheopsClient::reconstructRange(OpenState *open, LogicalObjectId id,
         if (lens[i].value() < chunk_len)
             break;
     }
-    out.resize(total);
-    co_return out;
+    co_return total;
 }
 
 std::vector<CheopsClient::ComponentRun>
@@ -1358,15 +1388,25 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
     const auto runs = mapRange(open->map, offset, out.size());
     bool degraded = false;
 
-    // One parallel component read per run; reassemble into `out`.
-    // Each component RPC is a child span of this read, so the trace
-    // timeline shows the per-drive fan-out.
-    auto fetchRun = [this, open, id, ctx, &out,
+    // One parallel component read per run. A single-piece run lands
+    // straight in its slice of `out`; a run of several pieces lands in
+    // one run-sized buffer and is scattered from there. Every fallback
+    // fills the same destination. Each component RPC is a child span
+    // of this read, so the trace timeline shows the per-drive fan-out.
+    auto fetchRun = [this, open, id, ctx, out,
                      &degraded](const ComponentRun &run)
         -> sim::Task<util::Result<std::uint64_t, CheopsStatus>> {
+        const bool direct = run.pieces.size() == 1;
+        // Only bytes the accepted read landed are scattered, so the
+        // staging buffer needs no zero-fill.
+        const auto staging = direct ? nullptr
+                                    : std::make_unique_for_overwrite<
+                                          std::uint8_t[]>(run.length);
+        const std::span<std::uint8_t> dst =
+            direct ? out.subspan(run.pieces.front().first, run.length)
+                   : std::span<std::uint8_t>(staging.get(), run.length);
         auto data = co_await readComponent(open, id, run.component,
-                                           run.component_offset,
-                                           run.length, ctx);
+                                           run.component_offset, dst, ctx);
         if (!data.ok() &&
             open->map.redundancy == Redundancy::kParity) {
             // The component may have moved (a completed rebuild swaps
@@ -1379,14 +1419,14 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
                 if (co_await refreshCaps(id, open->writable)) {
                     data = co_await readComponent(open, id, run.component,
                                                   run.component_offset,
-                                                  run.length, ctx);
+                                                  dst, ctx);
                 }
             }
             if (!data.ok()) {
                 // Degraded read: XOR the surviving components.
                 data = co_await reconstructRange(open, id, run.component,
-                                                 run.component_offset,
-                                                 run.length, ctx);
+                                                 run.component_offset, dst,
+                                                 ctx);
                 if (data.ok()) {
                     open->map.degraded = true;
                     degraded = true;
@@ -1404,12 +1444,12 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
             auto &mirror = open->map.mirrors[run.component];
             auto &mcred = *open->mirror_creds[run.component];
             auto mdata = co_await drive_clients_[mirror.drive]->read(
-                mcred, run.component_offset, run.length, ctx);
+                mcred, run.component_offset, dst, ctx);
             if (!mdata.ok() &&
                 mdata.error() == NasdStatus::kExpiredCapability) {
                 if (co_await refreshCaps(id, open->writable)) {
                     mdata = co_await drive_clients_[mirror.drive]->read(
-                        mcred, run.component_offset, run.length, ctx);
+                        mcred, run.component_offset, dst, ctx);
                 }
             }
             if (mdata.ok()) {
@@ -1419,23 +1459,21 @@ CheopsClient::read(LogicalObjectId id, std::uint64_t offset,
                     net_.simulator().now(), util::FrEvent::kDegradedRead,
                     ctx.trace_id, id, run.component, "mirror");
             }
-            data = std::move(mdata);
+            data = mdata;
         }
         if (!data.ok())
             co_return util::Err{CheopsStatus::kDriveError};
-        // Scatter into the host buffer; track the contiguous prefix.
+        const std::uint64_t got = data.value();
+        if (direct)
+            co_return got;
+        // Scatter the staged run; track the contiguous prefix.
         std::uint64_t copied = 0;
         for (const auto &[host_offset, bytes] : run.pieces) {
-            if (copied >= data.value().size())
+            if (copied >= got)
                 break;
-            const std::uint64_t take = std::min(
-                bytes, static_cast<std::uint64_t>(data.value().size()) -
-                           copied);
-            std::copy(data.value().begin() +
-                          static_cast<std::ptrdiff_t>(copied),
-                      data.value().begin() +
-                          static_cast<std::ptrdiff_t>(copied + take),
-                      out.begin() + static_cast<std::ptrdiff_t>(host_offset));
+            const std::uint64_t take = std::min(bytes, got - copied);
+            std::memcpy(out.data() + host_offset, staging.get() + copied,
+                        take);
             copied += take;
         }
         co_return copied;
@@ -1489,15 +1527,20 @@ CheopsClient::write(LogicalObjectId id, std::uint64_t offset,
 
     auto pushRun = [this, open, id, ctx, &data](const ComponentRun &run)
         -> sim::Task<util::Result<void, CheopsStatus>> {
-        // Gather the run's pieces into one contiguous component write.
-        std::vector<std::uint8_t> buf(run.length);
-        std::uint64_t copied = 0;
-        for (const auto &[host_offset, bytes] : run.pieces) {
-            std::copy(data.begin() + static_cast<std::ptrdiff_t>(host_offset),
-                      data.begin() +
-                          static_cast<std::ptrdiff_t>(host_offset + bytes),
-                      buf.begin() + static_cast<std::ptrdiff_t>(copied));
-            copied += bytes;
+        // A single-piece run is written straight from the caller's
+        // buffer; several pieces are gathered into one contiguous
+        // component write.
+        std::vector<std::uint8_t> gathered;
+        std::span<const std::uint8_t> buf;
+        if (run.pieces.size() == 1) {
+            buf = data.subspan(run.pieces.front().first, run.length);
+        } else {
+            gathered.reserve(run.length);
+            for (const auto &[host_offset, bytes] : run.pieces) {
+                const auto piece = data.subspan(host_offset, bytes);
+                gathered.insert(gathered.end(), piece.begin(), piece.end());
+            }
+            buf = gathered;
         }
         auto &comp = open->map.components[run.component];
         auto &cred = *open->creds[run.component];
@@ -1669,10 +1712,8 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
                 // Full-stripe write: parity is XOR of the new data,
                 // no old bytes needed.
                 std::vector<std::uint8_t> pbuf(su, 0);
-                for (const auto &uw : writes) {
-                    for (std::uint64_t j = 0; j < su; ++j)
-                        pbuf[j] ^= uw.bytes[j];
-                }
+                for (const auto &uw : writes)
+                    xorInto(pbuf, uw.bytes);
                 for (const auto &uw : writes) {
                     ops.push_back(writeComponent(open, id, uw.comp,
                                                  row * su, uw.bytes,
@@ -1701,21 +1742,30 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
                 }
             } else {
                 // Read-modify-write: read the old bytes under the
-                // written footprint plus the old parity, fold the
-                // deltas into the parity, write data + parity.
-                std::vector<
-                    sim::Task<StoreResult<std::vector<std::uint8_t>>>>
-                    reads;
+                // written footprint, and the old parity straight into
+                // the new parity's buffer, fold the deltas into the
+                // parity, write data + parity.
+                std::uint64_t old_bytes = 0;
+                for (const auto &uw : writes)
+                    old_bytes += uw.b - uw.a;
+                std::vector<std::uint8_t> oldbuf(old_bytes);
+                std::vector<std::uint8_t> pbuf(phi - plo, 0);
+                std::vector<std::span<const std::uint8_t>> olds;
+                std::vector<sim::Task<StoreResult<std::uint64_t>>> reads;
                 std::vector<std::uint32_t> read_comp;
+                std::uint64_t at = 0;
                 for (const auto &uw : writes) {
+                    const auto dst = std::span<std::uint8_t>(oldbuf).subspan(
+                        at, uw.b - uw.a);
+                    olds.push_back(dst);
+                    at += dst.size();
                     reads.push_back(readComponent(open, id, uw.comp,
-                                                  row * su + uw.a,
-                                                  uw.b - uw.a, ctx));
+                                                  row * su + uw.a, dst,
+                                                  ctx));
                     read_comp.push_back(uw.comp);
                 }
-                reads.push_back(readComponent(open, id, p,
-                                              row * su + plo, phi - plo,
-                                              ctx));
+                reads.push_back(readComponent(open, id, p, row * su + plo,
+                                              pbuf, ctx));
                 read_comp.push_back(p);
                 auto old = co_await sim::parallelGather(
                     net_.simulator(), std::move(reads));
@@ -1734,19 +1784,15 @@ CheopsClient::writeParityRow(OpenState *open, LogicalObjectId id,
                 } else {
                     // parity' = parity ^ old ^ new over each written
                     // range (short old reads are holes: zeros).
-                    std::vector<std::uint8_t> pbuf(phi - plo, 0);
-                    const auto &oldp = old.back().value();
-                    std::copy(oldp.begin(), oldp.end(), pbuf.begin());
+                    std::fill(pbuf.begin() + static_cast<std::ptrdiff_t>(
+                                                 old.back().value()),
+                              pbuf.end(), 0);
                     for (std::size_t i = 0; i < writes.size(); ++i) {
                         const auto &uw = writes[i];
-                        const auto &oldd = old[i].value();
-                        for (std::uint64_t j = 0; j < uw.b - uw.a;
-                             ++j) {
-                            std::uint8_t delta = uw.bytes[j];
-                            if (j < oldd.size())
-                                delta ^= oldd[j];
-                            pbuf[uw.a - plo + j] ^= delta;
-                        }
+                        const auto dst = std::span<std::uint8_t>(pbuf).subspan(
+                            uw.a - plo, uw.b - uw.a);
+                        xorInto(dst, uw.bytes);
+                        xorInto(dst, olds[i].first(old[i].value()));
                     }
                     std::vector<sim::Task<StoreResult<void>>> wops;
                     std::vector<std::uint32_t> wop_comp;
@@ -1826,34 +1872,35 @@ CheopsClient::writeParityRowDegraded(
                                  util::FrEvent::kDegradedWrite,
                                  ctx.trace_id, id, row);
 
-    // Read the full row unit from every surviving component.
-    std::vector<sim::Task<StoreResult<std::vector<std::uint8_t>>>> reads;
+    // Read the full row unit from every surviving component straight
+    // into its slot.
+    std::vector<std::vector<std::uint8_t>> unit_by_comp(
+        open->map.components.size(), std::vector<std::uint8_t>(su, 0));
+    std::vector<sim::Task<StoreResult<std::uint64_t>>> reads;
     std::vector<std::uint32_t> read_comp;
     for (std::uint32_t c = 0;
          c < static_cast<std::uint32_t>(open->map.components.size());
          ++c) {
         if (c == dead)
             continue;
-        reads.push_back(readComponent(open, id, c, row * su, su, ctx));
+        reads.push_back(
+            readComponent(open, id, c, row * su, unit_by_comp[c], ctx));
         read_comp.push_back(c);
     }
     auto old =
         co_await sim::parallelGather(net_.simulator(), std::move(reads));
-    std::vector<std::vector<std::uint8_t>> unit_by_comp(
-        open->map.components.size());
     for (std::size_t i = 0; i < old.size(); ++i) {
         if (!old[i].ok())
             co_return util::Err{CheopsStatus::kDriveError};
-        unit_by_comp[read_comp[i]] = std::move(old[i].value());
-        unit_by_comp[read_comp[i]].resize(su, 0);
+        // A short read ends in holes, which read as zeros.
+        auto &unit = unit_by_comp[read_comp[i]];
+        std::fill(unit.begin() + static_cast<std::ptrdiff_t>(old[i].value()),
+                  unit.end(), 0);
     }
     // Reconstruct the dead unit (valid whether it is data or parity).
-    unit_by_comp[dead].assign(su, 0);
     for (std::size_t c = 0; c < unit_by_comp.size(); ++c) {
-        if (c == dead)
-            continue;
-        for (std::uint64_t j = 0; j < su; ++j)
-            unit_by_comp[dead][j] ^= unit_by_comp[c][j];
+        if (c != dead)
+            xorInto(unit_by_comp[dead], unit_by_comp[c]);
     }
 
     // Overlay the new bytes and recompute parity from the full row.
@@ -1864,12 +1911,8 @@ CheopsClient::writeParityRowDegraded(
     }
     auto &pbuf = unit_by_comp[p];
     std::fill(pbuf.begin(), pbuf.end(), 0);
-    for (std::uint32_t d = 0; d < w; ++d) {
-        const auto &unit =
-            unit_by_comp[CheopsManager::dataComponent(row, d, w)];
-        for (std::uint64_t j = 0; j < su; ++j)
-            pbuf[j] ^= unit[j];
-    }
+    for (std::uint32_t d = 0; d < w; ++d)
+        xorInto(pbuf, unit_by_comp[CheopsManager::dataComponent(row, d, w)]);
 
     // Write back what changed: the written ranges of surviving data
     // units, the parity footprint (when parity survives), and — during

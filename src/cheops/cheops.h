@@ -55,6 +55,12 @@ enum class [[nodiscard]] CheopsStatus : std::uint8_t {
 
 const char *toString(CheopsStatus status);
 
+/**
+ * dst[i] ^= src[i] for every byte of @p src (the parity kernel).
+ * @p dst must be at least as long as @p src.
+ */
+void xorInto(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src);
+
 /** One component of a striped logical object. */
 struct ComponentRef
 {
@@ -460,14 +466,16 @@ class CheopsClient
     sim::Task<bool> refreshCaps(LogicalObjectId id, bool want_write);
 
     /**
-     * Read a component range with the standard recovery ladder:
-     * refresh-once on capability expiry, and — kParity only — refresh
-     * on version mismatch (rebuild fencing bumps versions; a revoked
-     * mirror/none-mode capability must stay revoked).
+     * Read out.size() bytes at @p offset of a component straight into
+     * @p out, with the standard recovery ladder: refresh-once on
+     * capability expiry, and — kParity only — refresh on version
+     * mismatch (rebuild fencing bumps versions; a revoked
+     * mirror/none-mode capability must stay revoked). Returns the byte
+     * count read; @p out follows NasdClient::read's landing rules.
      */
-    sim::Task<StoreResult<std::vector<std::uint8_t>>>
+    sim::Task<StoreResult<std::uint64_t>>
     readComponent(OpenState *open, LogicalObjectId id, std::uint32_t comp,
-                  std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t offset, std::span<std::uint8_t> out,
                   util::TraceContext ctx);
 
     /** Same ladder for writes. */
@@ -477,14 +485,15 @@ class CheopsClient
                    util::TraceContext ctx);
 
     /**
-     * Reconstruct [offset, offset+length) of component @p dead by
-     * XOR-ing the same range of every other component (every component
-     * holds exactly one unit of each row at the same offset, so role
-     * arithmetic cancels out).
+     * Reconstruct out.size() bytes at @p offset of component @p dead
+     * into @p out by XOR-ing the same range of every other component
+     * (every component holds exactly one unit of each row at the same
+     * offset, so role arithmetic cancels out). Returns the length of
+     * the contiguous prefix rebuilt, as a short read would.
      */
-    sim::Task<StoreResult<std::vector<std::uint8_t>>>
+    sim::Task<StoreResult<std::uint64_t>>
     reconstructRange(OpenState *open, LogicalObjectId id, std::uint32_t dead,
-                     std::uint64_t offset, std::uint64_t length,
+                     std::uint64_t offset, std::span<std::uint8_t> out,
                      util::TraceContext ctx);
 
     /** kParity write planner: split into rows, FSW or RMW per row. */

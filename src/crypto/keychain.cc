@@ -30,10 +30,15 @@ Key
 KeyChain::workingKey(std::uint64_t drive_id, std::uint16_t partition_id,
                      WorkingKeyKind kind, std::uint32_t epoch) const
 {
-    const auto kind_and_epoch =
-        (static_cast<std::uint64_t>(kind) << 32) | epoch;
-    return derive(partitionKey(drive_id, partition_id), 3, kind_and_epoch,
-                  0);
+    const auto [it, fresh] = working_keys_.try_emplace(
+        WorkingKeyId{drive_id, partition_id, kind, epoch});
+    if (fresh) {
+        const auto kind_and_epoch =
+            (static_cast<std::uint64_t>(kind) << 32) | epoch;
+        it->second = derive(partitionKey(drive_id, partition_id), 3,
+                            kind_and_epoch, 0);
+    }
+    return it->second;
 }
 
 } // namespace nasd::crypto

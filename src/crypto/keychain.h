@@ -21,6 +21,8 @@
 #define NASD_CRYPTO_KEYCHAIN_H_
 
 #include <cstdint>
+#include <map>
+#include <tuple>
 
 #include "crypto/hmac.h"
 
@@ -45,7 +47,12 @@ class KeyChain
     Key partitionKey(std::uint64_t drive_id,
                      std::uint16_t partition_id) const;
 
-    /** Level 4: working key used to mint/verify capabilities. */
+    /**
+     * Level 4: working key used to mint/verify capabilities. A pure
+     * function of its arguments, so each distinct key is derived once
+     * and then served from a memo (a verifying drive asks for the same
+     * few keys on every request).
+     */
     Key workingKey(std::uint64_t drive_id, std::uint16_t partition_id,
                    WorkingKeyKind kind, std::uint32_t epoch) const;
 
@@ -53,7 +60,12 @@ class KeyChain
     static Key derive(const Key &parent, std::uint8_t level_tag,
                       std::uint64_t id_a, std::uint64_t id_b);
 
+    using WorkingKeyId =
+        std::tuple<std::uint64_t, std::uint16_t, WorkingKeyKind,
+                   std::uint32_t>;
+
     Key master_;
+    mutable std::map<WorkingKeyId, Key> working_keys_;
 };
 
 } // namespace nasd::crypto

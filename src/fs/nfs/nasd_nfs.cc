@@ -652,21 +652,20 @@ NasdNfsClient::readChunk(NasdNfsFh fh, std::uint64_t offset,
     auto cred = co_await capabilityFor(fh, false);
     if (!cred.ok())
         co_return util::Err{cred.error()};
-    auto data = co_await drive_clients_[fh.drive]->read(*cred.value(),
-                                                        offset, out.size());
-    if (!data.ok() && staleCapability(data.error())) {
+    auto got = co_await drive_clients_[fh.drive]->read(*cred.value(),
+                                                       offset, out);
+    if (!got.ok() && staleCapability(got.error())) {
         invalidateCap(fh);
         auto fresh = co_await capabilityFor(fh, false);
         if (fresh.ok()) {
-            data = co_await drive_clients_[fh.drive]->read(
-                *fresh.value(), offset, out.size());
+            got = co_await drive_clients_[fh.drive]->read(*fresh.value(),
+                                                          offset, out);
         }
     }
     permit.release();
-    if (!data.ok())
-        co_return util::Err{fromNasdStatus(data.error())};
-    std::copy(data.value().begin(), data.value().end(), out.begin());
-    co_return static_cast<std::uint64_t>(data.value().size());
+    if (!got.ok())
+        co_return util::Err{fromNasdStatus(got.error())};
+    co_return got.value();
 }
 
 sim::Task<NfsResult<std::uint64_t>>

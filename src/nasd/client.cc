@@ -98,37 +98,76 @@ NasdClient::NasdClient(net::Network &net, net::NetNode &node,
       retry_rng_(jitterSeed(node.name(), drive.id()))
 {}
 
-sim::Task<StoreResult<std::vector<std::uint8_t>>>
+sim::Task<StoreResult<std::uint64_t>>
 NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
-                 std::uint64_t length, util::TraceContext parent)
+                 std::span<std::uint8_t> out, util::TraceContext parent)
 {
     RequestParams params{OpCode::kReadData, cred.capability().pub.partition,
-                         cred.capability().pub.object_id, offset, length};
+                         cred.capability().pub.object_id, offset,
+                         out.size()};
     params.trace = util::flightRecorder().mintChild(parent);
     util::ScopedSpan span("nasd/read", node_.name(),
                           static_cast<std::uint64_t>(net_.simulator().now()),
                           params.trace, parent.span_id);
     NasdDrive *drive = &drive_;
 
-    const MakeFn<ReadResponse> make = [&cred, params, drive] {
+    // One landing per attempt. A new attempt means the previous one was
+    // abandoned, so its landing closes: pieces it serves late never
+    // reach `out`, and this attempt rewrites every byte it reads.
+    std::shared_ptr<ReadLanding> landing;
+    const MakeFn<ReadResponse> make = [&cred, params, drive, out,
+                                       &landing] {
+        if (landing)
+            landing->open = false;
+        landing = std::make_shared<ReadLanding>(ReadLanding{out});
         const RequestCredential credential = cred.forRequest(params);
         return std::function<sim::Task<net::RpcReply<ReadResponse>>()>(
-            [drive, credential,
-             params]() -> sim::Task<net::RpcReply<ReadResponse>> {
-                auto r = co_await drive->serveRead(credential, params);
-                const std::uint64_t payload = r.data.size();
-                co_return net::RpcReply<ReadResponse>{std::move(r), payload};
+            [drive, credential, params,
+             attempt = landing]() -> sim::Task<net::RpcReply<ReadResponse>> {
+                auto r = co_await drive->serveRead(credential, params,
+                                                   *attempt);
+                co_return net::RpcReply<ReadResponse>{r, r.bytes};
             });
     };
     ReadResponse resp = co_await attemptLoop<ReadResponse>(
         net_, node_, drive_, policy_, retry_rng_, true, policy_.timeout,
         kControlPayload, "read", params.trace.trace_id, make);
+    landing->open = false;
     span.endAt(static_cast<std::uint64_t>(net_.simulator().now()));
 
     if (resp.status != NasdStatus::kOk)
         co_return util::Err{resp.status};
-    co_return std::move(resp.data);
+    co_return resp.bytes;
 }
+
+sim::Task<StoreResult<std::vector<std::uint8_t>>>
+NasdClient::read(CredentialFactory &cred, std::uint64_t offset,
+                 std::uint64_t length, util::TraceContext parent)
+{
+    std::vector<std::uint8_t> data(length);
+    auto n = co_await read(cred, offset, std::span<std::uint8_t>(data),
+                           parent);
+    if (!n.ok())
+        co_return util::Err{n.error()};
+    data.resize(n.value());
+    co_return data;
+}
+
+namespace {
+
+/**
+ * The bytes every attempt of one write reads: the caller's span, or
+ * `owned`, a copy taken when the call returns while an attempt may
+ * still read them.
+ */
+struct SharedWrite : WriteSource
+{
+    std::vector<std::uint8_t> owned;
+    int attempts = 0; ///< attempts issued
+    int serving = 0;  ///< handler runs inside serveWrite
+};
+
+} // namespace
 
 sim::Task<StoreResult<void>>
 NasdClient::write(CredentialFactory &cred, std::uint64_t offset,
@@ -144,18 +183,19 @@ NasdClient::write(CredentialFactory &cred, std::uint64_t offset,
                           static_cast<std::uint64_t>(net_.simulator().now()),
                           params.trace, parent.span_id);
     NasdDrive *drive = &drive_;
-    // The caller's buffer may die before a timed-out attempt's handler
-    // runs; every attempt shares one heap copy instead.
-    auto bytes = std::make_shared<std::vector<std::uint8_t>>(data.begin(),
-                                                             data.end());
+    auto shared = std::make_shared<SharedWrite>();
+    shared->bytes = data;
 
-    const MakeFn<StatusResponse> make = [&cred, params, drive, bytes] {
+    const MakeFn<StatusResponse> make = [&cred, params, drive, shared] {
+        ++shared->attempts;
         const RequestCredential credential = cred.forRequest(params);
         return std::function<sim::Task<net::RpcReply<StatusResponse>>()>(
             [drive, credential, params,
-             bytes]() -> sim::Task<net::RpcReply<StatusResponse>> {
+             shared]() -> sim::Task<net::RpcReply<StatusResponse>> {
+                ++shared->serving;
                 auto r = co_await drive->serveWrite(credential, params,
-                                                    *bytes);
+                                                    *shared);
+                --shared->serving;
                 co_return net::RpcReply<StatusResponse>{r, 0};
             });
     };
@@ -164,6 +204,16 @@ NasdClient::write(CredentialFactory &cred, std::uint64_t offset,
         kControlPayload + data.size(), "write", params.trace.trace_id,
         make);
     span.endAt(static_cast<std::uint64_t>(net_.simulator().now()));
+
+    // A timed-out attempt's request may still reach the drive, and a
+    // duplicated request may be inside it now. Either would read the
+    // bytes after the caller has its buffer back, so they move to the
+    // heap first. A retry after a replayed request is treated the same.
+    if (shared->attempts > 1 || shared->serving > 0 ||
+        resp.status == NasdStatus::kTimeout) {
+        shared->owned.assign(data.begin(), data.end());
+        shared->bytes = shared->owned;
+    }
 
     if (resp.status != NasdStatus::kOk)
         co_return util::Err{resp.status};

@@ -57,14 +57,34 @@ class NasdClient
     const DriveRetryPolicy &policy() const { return policy_; }
     void setPolicy(const DriveRetryPolicy &policy) { policy_ = policy; }
 
-    /** Read up to @p length bytes at @p offset of the capability's
-     *  object. @p parent, when valid, makes the request a child span
-     *  of the caller's trace (see util/trace.h). */
+    /**
+     * Read up to @p out.size() bytes at @p offset of the capability's
+     * object straight into @p out, and return how many were read.
+     * The drive lands each piece in @p out when it serves it, so the
+     * caller must not touch @p out during the call. Every attempt's
+     * landing is closed when the next attempt starts and when the call
+     * returns: on success the first count bytes are the accepted
+     * attempt's, and nothing writes into @p out after the return. The
+     * rest of @p out, and all of it after an error, is unspecified.
+     * @p parent, when valid, makes the request a child span of the
+     * caller's trace (see util/trace.h).
+     */
+    sim::Task<StoreResult<std::uint64_t>>
+    read(CredentialFactory &cred, std::uint64_t offset,
+         std::span<std::uint8_t> out, util::TraceContext parent = {});
+
+    /** read() into a fresh vector trimmed to the bytes read (for
+     *  metadata and other small reads). */
     sim::Task<StoreResult<std::vector<std::uint8_t>>>
     read(CredentialFactory &cred, std::uint64_t offset,
          std::uint64_t length, util::TraceContext parent = {});
 
-    /** Write @p data at @p offset of the capability's object. */
+    /**
+     * Write @p data at @p offset of the capability's object. The
+     * drive reads @p data in place; only if the call returns while an
+     * abandoned attempt may still read it are the bytes first copied
+     * to a heap buffer that outlives the call.
+     */
     sim::Task<StoreResult<void>> write(CredentialFactory &cred,
                                        std::uint64_t offset,
                                        std::span<const std::uint8_t> data,

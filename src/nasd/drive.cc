@@ -321,8 +321,11 @@ NasdDrive::chargeSecurityBytes(std::uint64_t bytes,
 }
 
 sim::Task<ReadResponse>
-NasdDrive::serveRead(RequestCredential cred, RequestParams params)
+NasdDrive::serveRead(RequestCredential cred, RequestParams params,
+                     const ReadLanding &landing)
 {
+    NASD_ASSERT(landing.out.size() == params.length,
+                "read landing does not match the request length");
     const sim::Tick op_start = sim_.now();
     auto op_span = beginOp("read", params);
     ReadResponse resp;
@@ -333,24 +336,22 @@ NasdDrive::serveRead(RequestCredential cred, RequestParams params)
         resp.status = status;
         co_return resp;
     }
-    resp.data.resize(params.length);
     OpTrace trace;
     trace.attr = &op_attr;
     auto result = co_await store_->read(params.partition, params.object_id,
-                                        params.offset, resp.data, &trace);
+                                        params.offset, landing, &trace);
     if (!result.ok()) {
         resp.status = result.error();
-        resp.data.clear();
         co_return resp;
     }
     if (crashed_) {
         // The drive died while the op was inside the store: in-flight
-        // requests are rejected too, data never leaves the drive.
+        // requests are rejected too, and no reply vouches for the
+        // bytes that already landed.
         resp.status = NasdStatus::kDriveUnavailable;
-        resp.data.clear();
         co_return resp;
     }
-    resp.data.resize(result.value());
+    resp.bytes = result.value();
     co_await chargeOpCost(config_.costs.read_base_instr,
                           config_.costs.cold_extra_read_instr,
                           config_.costs.read_per_byte_instr,
@@ -364,15 +365,16 @@ NasdDrive::serveRead(RequestCredential cred, RequestParams params)
 
 sim::Task<StatusResponse>
 NasdDrive::serveWrite(RequestCredential cred, RequestParams params,
-                      std::span<const std::uint8_t> data)
+                      const WriteSource &source)
 {
     const sim::Tick op_start = sim_.now();
     auto op_span = beginOp("write", params);
     StatusResponse resp;
-    params.length = data.size();
+    const std::uint64_t length = source.bytes.size();
+    params.length = length;
     util::OpAttribution op_attr;
     const auto status =
-        co_await verify(cred, params, kRightWrite, data.size(), &op_attr);
+        co_await verify(cred, params, kRightWrite, length, &op_attr);
     if (status != NasdStatus::kOk) {
         resp.status = status;
         co_return resp;
@@ -380,7 +382,7 @@ NasdDrive::serveWrite(RequestCredential cred, RequestParams params,
     OpTrace trace;
     trace.attr = &op_attr;
     auto result = co_await store_->write(params.partition, params.object_id,
-                                         params.offset, data, &trace);
+                                         params.offset, source, &trace);
     if (!result.ok()) {
         resp.status = result.error();
         co_return resp;
@@ -391,7 +393,7 @@ NasdDrive::serveWrite(RequestCredential cred, RequestParams params,
     }
     co_await chargeOpCost(config_.costs.write_base_instr,
                           config_.costs.cold_extra_write_instr,
-                          config_.costs.write_per_byte_instr, data.size(),
+                          config_.costs.write_per_byte_instr, length,
                           trace, &op_attr);
     finishOp("write", op_start, op_span, &op_attr,
              params.trace.trace_id);

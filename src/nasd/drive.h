@@ -66,10 +66,12 @@ DriveConfig prototypeDriveConfig(std::string name, DriveId id);
 // Wire-format response types (plain structs so they cross the RPC
 // layer without fuss).
 
+/** A read's reply: the bytes themselves went to the request's
+ *  ReadLanding, so only their count crosses the wire as payload. */
 struct [[nodiscard]] ReadResponse
 {
     NasdStatus status = NasdStatus::kOk;
-    std::vector<std::uint8_t> data;
+    std::uint64_t bytes = 0;
 };
 
 struct [[nodiscard]] StatusResponse
@@ -177,11 +179,16 @@ class NasdDrive
 
     // Request handlers (Section 4.1's interface) -------------------------
 
+    /** Read params.length bytes into @p landing, whose span must be
+     *  exactly that long; see ReadLanding for when the bytes land. */
     sim::Task<ReadResponse> serveRead(RequestCredential cred,
-                                      RequestParams params);
+                                      RequestParams params,
+                                      const ReadLanding &landing);
+    /** Write @p source's bytes; the store reads them when it lands
+     *  them (see WriteSource). */
     sim::Task<StatusResponse> serveWrite(RequestCredential cred,
                                          RequestParams params,
-                                         std::span<const std::uint8_t> data);
+                                         const WriteSource &source);
     sim::Task<AttrResponse> serveGetAttr(RequestCredential cred,
                                          RequestParams params);
     sim::Task<AttrResponse> serveSetAttr(RequestCredential cred,

@@ -437,12 +437,13 @@ ObjectStore::physicalUnit(const Inode &inode, std::uint64_t logical) const
 
 sim::Task<void>
 ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
-                       std::span<std::uint8_t> out, OpTrace *trace)
+                       std::uint64_t length, const ReadLanding &landing,
+                       OpTrace *trace)
 {
-    if (out.empty())
+    if (length == 0)
         co_return;
     const std::uint64_t ub = config_.alloc_unit_bytes;
-    const std::uint64_t end = offset + out.size();
+    const std::uint64_t end = offset + length;
     const std::uint64_t first = offset / ub;
     const std::uint64_t last = (end - 1) / ub;
 
@@ -468,12 +469,15 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
         units.push_back(ref);
     }
 
-    // Copy one logical unit's piece of the request into `out`.
+    // Land one logical unit's piece of the request, unless the landing
+    // was closed while this read waited.
     const auto copyPiece = [&](const UnitRef &ref) {
         const std::uint64_t u_start = ref.logical * ub;
         const std::uint64_t piece_start = std::max(offset, u_start);
         const std::uint64_t piece_end = std::min(end, u_start + ub);
-        auto dst = out.subspan(
+        if (!landing.open)
+            return piece_end - piece_start;
+        auto dst = landing.out.subspan(
             static_cast<std::size_t>(piece_start - offset),
             static_cast<std::size_t>(piece_end - piece_start));
         if (ref.hole) {
@@ -482,7 +486,7 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
             device_.peek(unitStartByte(ref.phys) + (piece_start - u_start),
                          dst);
         }
-        return dst.size();
+        return piece_end - piece_start;
     };
 
     std::size_t i = 0;
@@ -498,8 +502,8 @@ ObjectStore::readRange(const Inode &inode, std::uint64_t offset,
             continue;
         }
         // Coalesce physically contiguous misses into one device read;
-        // its bytes are then copied straight from the device into
-        // `out` by copyPiece, the same as a hit's.
+        // its bytes are then copied straight from the device into the
+        // landing by copyPiece, the same as a hit's.
         std::size_t j = i + 1;
         while (j < units.size() && !units[j].hit && !units[j].hole &&
                units[j].phys == units[i].phys + (j - i)) {
@@ -836,7 +840,7 @@ ObjectStore::removeObject(PartitionId pid, ObjectId oid, OpTrace *trace)
 
 sim::Task<util::Result<std::uint64_t, NasdStatus>>
 ObjectStore::read(PartitionId pid, ObjectId oid, std::uint64_t offset,
-                  std::span<std::uint8_t> out, OpTrace *trace)
+                  const ReadLanding &landing, OpTrace *trace)
 {
     NASD_ASSERT(mounted_, "store not mounted");
     auto found = findInode(pid, oid);
@@ -847,16 +851,32 @@ ObjectStore::read(PartitionId pid, ObjectId oid, std::uint64_t offset,
 
     if (offset >= inode.attrs.size)
         co_return std::uint64_t{0};
-    const std::uint64_t n =
-        std::min<std::uint64_t>(out.size(), inode.attrs.size - offset);
-    co_await readRange(inode, offset, out.subspan(0, n), trace);
+    const std::uint64_t n = std::min<std::uint64_t>(
+        landing.out.size(), inode.attrs.size - offset);
+    co_await readRange(inode, offset, n, landing, trace);
     stats_.reads.add();
     co_return n;
+}
+
+sim::Task<util::Result<std::uint64_t, NasdStatus>>
+ObjectStore::read(PartitionId pid, ObjectId oid, std::uint64_t offset,
+                  std::span<std::uint8_t> out, OpTrace *trace)
+{
+    const ReadLanding landing{out};
+    co_return co_await read(pid, oid, offset, landing, trace);
 }
 
 sim::Task<util::Result<void, NasdStatus>>
 ObjectStore::write(PartitionId pid, ObjectId oid, std::uint64_t offset,
                    std::span<const std::uint8_t> data, OpTrace *trace)
+{
+    const WriteSource source{data};
+    co_return co_await write(pid, oid, offset, source, trace);
+}
+
+sim::Task<util::Result<void, NasdStatus>>
+ObjectStore::write(PartitionId pid, ObjectId oid, std::uint64_t offset,
+                   const WriteSource &source, OpTrace *trace)
 {
     NASD_ASSERT(mounted_, "store not mounted");
     auto found = findInode(pid, oid);
@@ -866,10 +886,10 @@ ObjectStore::write(PartitionId pid, ObjectId oid, std::uint64_t offset,
     co_await touchInode(index, trace);
     Inode &inode = inodes_[index];
 
-    if (data.empty())
+    if (source.bytes.empty())
         co_return util::Result<void, NasdStatus>{};
 
-    const std::uint64_t end = offset + data.size();
+    const std::uint64_t end = offset + source.bytes.size();
     auto grown = growObject(inode, unitsForBytes(end));
     if (!grown.ok())
         co_return util::Err{grown.error()};
@@ -880,7 +900,8 @@ ObjectStore::write(PartitionId pid, ObjectId oid, std::uint64_t offset,
     if (!exclusive.ok())
         co_return util::Err{exclusive.error()};
 
-    co_await writeRange(inode, offset, data, trace);
+    // The bytes are read here, after the waits above.
+    co_await writeRange(inode, offset, source.bytes, trace);
     inode.attrs.size = std::max(inode.attrs.size, end);
     inode.attrs.capacity = std::max(inode.attrs.capacity, end);
     inode.attrs.modify_time = sim_.now();

@@ -69,6 +69,30 @@ struct OpTrace
     util::OpAttribution *attr = nullptr;
 };
 
+/**
+ * Where a read's bytes land: the caller's span, filled piece by piece
+ * at the simulated moment each piece is served (a cache hit at once, a
+ * miss when its device read completes). A piece whose moment comes
+ * after `open` was cleared is skipped, so the owner can let go of the
+ * span while a read it abandoned is still inside the store.
+ */
+struct ReadLanding
+{
+    std::span<std::uint8_t> out;
+    bool open = true;
+};
+
+/**
+ * Where a write's bytes come from. The store reads `bytes` when it
+ * lands them (after the inode fetch and any copy-on-write), not when
+ * the write is issued, so the owner may repoint it at a copy of the
+ * same bytes before its own buffer goes away.
+ */
+struct WriteSource
+{
+    std::span<const std::uint8_t> bytes;
+};
+
 /** Aggregate counters for tests and benchmarks; registry-backed under
  *  "<prefix>/..." in the current util::MetricsRegistry. */
 struct StoreStats
@@ -152,14 +176,27 @@ class ObjectStore
                                               OpTrace *trace = nullptr);
 
     /**
-     * Read up to @p out.size() bytes at @p offset. Returns the byte
-     * count actually read (clamped at end of object).
+     * Read up to @p landing.out.size() bytes at @p offset into the
+     * landing (see ReadLanding). Returns the byte count read (clamped
+     * at end of object), whether or not every piece still landed.
+     * @p landing must outlive the call.
      */
+    sim::Task<StoreResult<std::uint64_t>>
+    read(PartitionId pid, ObjectId oid, std::uint64_t offset,
+         const ReadLanding &landing, OpTrace *trace = nullptr);
+
+    /** read() into a landing that stays open. */
     sim::Task<StoreResult<std::uint64_t>>
     read(PartitionId pid, ObjectId oid, std::uint64_t offset,
          std::span<std::uint8_t> out, OpTrace *trace = nullptr);
 
-    /** Write @p data at @p offset, extending the object as needed. */
+    /** Write @p source's bytes at @p offset, extending the object as
+     *  needed. @p source must outlive the call. */
+    sim::Task<StoreResult<void>>
+    write(PartitionId pid, ObjectId oid, std::uint64_t offset,
+          const WriteSource &source, OpTrace *trace = nullptr);
+
+    /** write() of bytes that stay put for the whole call. */
     sim::Task<StoreResult<void>>
     write(PartitionId pid, ObjectId oid, std::uint64_t offset,
           std::span<const std::uint8_t> data, OpTrace *trace = nullptr);
@@ -266,9 +303,11 @@ class ObjectStore
     // --- data path ---------------------------------------------------------
 
     /** Read [offset, offset+length) of the object's data with cache
-     *  accounting; bytes land in @p out. */
+     *  accounting; bytes land in the first @p length bytes of
+     *  @p landing's span while it is open. */
     sim::Task<void> readRange(const Inode &inode, std::uint64_t offset,
-                              std::span<std::uint8_t> out, OpTrace *trace);
+                              std::uint64_t length,
+                              const ReadLanding &landing, OpTrace *trace);
 
     /** Write @p data at @p offset; extents must already cover it and
      *  be exclusively owned. */

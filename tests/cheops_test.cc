@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cheops/cheops.h"
@@ -130,6 +132,58 @@ TEST_F(CheopsTest, UnalignedRangeRoundTrip)
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(n.value().bytes, 300 * kKB);
     EXPECT_EQ(out, data);
+}
+
+TEST_F(CheopsTest, MultiPieceRunsScatterAndStopAtEof)
+{
+    // A 16 KB stripe unit over four drives: a 192 KB read at a 4 KB
+    // offset spans 13 stripe units, so each of the four component runs
+    // has three or four pieces.
+    const auto id = runFor(client->create(16 * kKB, 0)).value();
+    const auto data = pattern(200 * kKB, 3);
+    ASSERT_TRUE(runFor(client->write(id, 0, data)).ok());
+
+    std::vector<std::uint8_t> out(192 * kKB, 0);
+    auto whole = runFor(client->read(id, 4 * kKB, out));
+    ASSERT_TRUE(whole.ok());
+    EXPECT_EQ(whole.value().bytes, 192 * kKB);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), data.begin() + 4 * kKB));
+
+    // Past the end of the object every run comes back short: the count
+    // is the bytes before EOF, and they land where they belong.
+    constexpr std::uint64_t kOffset = 3000;
+    std::vector<std::uint8_t> tail(256 * kKB, 0);
+    auto n = runFor(client->read(id, kOffset, tail));
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(n.value().bytes, data.size() - kOffset);
+    EXPECT_TRUE(std::equal(data.begin() + kOffset, data.end(),
+                           tail.begin()));
+}
+
+TEST(XorInto, MatchesByteLoopAtEveryLengthAndAlignment)
+{
+    const auto src_bytes = pattern(96, 5);
+    const auto dst_bytes = pattern(96, 11);
+    for (std::size_t len = 0; len <= 70; ++len) {
+        for (std::size_t dst_at = 0; dst_at < 8; ++dst_at) {
+            for (std::size_t src_at = 0; src_at < 8; ++src_at) {
+                auto got = dst_bytes;
+                auto want = dst_bytes;
+                for (std::size_t i = 0; i < len; ++i)
+                    want[dst_at + i] ^= src_bytes[src_at + i];
+                xorInto(std::span<std::uint8_t>(got).subspan(dst_at, len),
+                        std::span<const std::uint8_t>(src_bytes)
+                            .subspan(src_at, len));
+                ASSERT_EQ(got, want) << "len " << len << " dst+" << dst_at
+                                     << " src+" << src_at;
+            }
+        }
+    }
+    // A destination longer than the source keeps its tail.
+    auto got = dst_bytes;
+    xorInto(got, std::span<const std::uint8_t>(src_bytes).first(13));
+    for (std::size_t i = 13; i < got.size(); ++i)
+        ASSERT_EQ(got[i], dst_bytes[i]);
 }
 
 TEST_F(CheopsTest, DataLandsOnAllDrives)

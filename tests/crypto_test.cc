@@ -186,6 +186,30 @@ TEST(KeyChain, EpochRotationChangesWorkingKey)
               kc.workingKey(1, 1, WorkingKeyKind::kGold, 1));
 }
 
+TEST(KeyChain, MemoizedWorkingKeyMatchesFreshDerivation)
+{
+    const Key master = keyFromBytes(0x42, 32);
+    KeyChain memo(master);
+    const Key black5 = memo.workingKey(9, 2, WorkingKeyKind::kBlack, 5);
+    // Served again from the memo, and equal to what a chain that never
+    // derived it before computes.
+    EXPECT_EQ(memo.workingKey(9, 2, WorkingKeyKind::kBlack, 5), black5);
+    EXPECT_EQ(KeyChain(master).workingKey(9, 2, WorkingKeyKind::kBlack, 5),
+              black5);
+    // Each other argument selects a different key, memoized apart.
+    const Key black6 = memo.workingKey(9, 2, WorkingKeyKind::kBlack, 6);
+    const Key gold5 = memo.workingKey(9, 2, WorkingKeyKind::kGold, 5);
+    EXPECT_NE(black6, black5);
+    EXPECT_NE(gold5, black5);
+    EXPECT_NE(memo.workingKey(9, 3, WorkingKeyKind::kBlack, 5), black5);
+    EXPECT_NE(memo.workingKey(8, 2, WorkingKeyKind::kBlack, 5), black5);
+    EXPECT_EQ(black6,
+              KeyChain(master).workingKey(9, 2, WorkingKeyKind::kBlack, 6));
+    EXPECT_EQ(gold5,
+              KeyChain(master).workingKey(9, 2, WorkingKeyKind::kGold, 5));
+    EXPECT_EQ(memo.workingKey(9, 2, WorkingKeyKind::kBlack, 5), black5);
+}
+
 TEST(KeyChain, DifferentMastersDisjoint)
 {
     KeyChain a(keyFromBytes(1, 32));

@@ -8,8 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cheops/cheops.h"
@@ -57,6 +59,30 @@ pattern(std::size_t n, std::uint8_t seed = 1)
     for (std::size_t i = 0; i < n; ++i)
         v[i] = static_cast<std::uint8_t>(seed + i * 13);
     return v;
+}
+
+/**
+ * Read into @p out, keep what the call returned, then scribble over
+ * @p out: any later write into it shows as a byte that is not 0xee.
+ */
+Task<void>
+readThenScribble(NasdClient &client, CredentialFactory &cred,
+                 std::span<std::uint8_t> out,
+                 std::optional<StoreResult<std::uint64_t>> &result,
+                 std::vector<std::uint8_t> &returned)
+{
+    result = co_await client.read(cred, 0, out);
+    returned.assign(out.begin(), out.end());
+    std::fill(out.begin(), out.end(), 0xee);
+}
+
+/** Write @p data at offset 0 straight into @p drive's object store. */
+Task<void>
+storeWrite(NasdDrive &drive, ObjectId oid,
+           std::span<const std::uint8_t> data)
+{
+    auto r = co_await drive.store().write(0, oid, 0, data);
+    EXPECT_TRUE(r.ok());
 }
 
 /** A quick retry policy so fault scenarios finish in simulated ms. */
@@ -273,6 +299,132 @@ TEST_F(DriveFaultTest, DroppedSendStillChargesSender)
     EXPECT_EQ(r.error(), NasdStatus::kTimeout);
     const auto delta = node.cpu().instructionsRetired() - instr_before;
     EXPECT_GE(delta, 4 * node.costs().send_base_instr);
+}
+
+TEST_F(DriveFaultTest, ReadDelayedPastDeadlineLandsAcceptedAttempt)
+{
+    const ObjectId oid = makeObject();
+    auto cred = objectCred(oid);
+    const auto before = pattern(64 * kKB, 3);
+    const auto after = pattern(64 * kKB, 4);
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, before)).ok());
+
+    // A 50 ms deadline; the retry leaves 20-30 ms after it.
+    DriveRetryPolicy policy = fastPolicy(4);
+    policy.backoff_base = sim::msec(20);
+    client.setPolicy(policy);
+    net::FaultPlan plan;
+    plan.delay_probability = 1.0;
+    plan.delay_min = sim::msec(55);
+    plan.delay_max = sim::msec(55);
+    net.setFaultPlan(plan);
+
+    // Only the first request is held. It reaches the drive after its
+    // deadline, before the retry, and is served with `before`. Then the
+    // object changes, so the retry, the attempt the caller accepts,
+    // reads `after`.
+    std::vector<std::uint8_t> out(64 * kKB, 0);
+    std::optional<StoreResult<std::uint64_t>> result;
+    std::vector<std::uint8_t> returned;
+    sim.spawn(readThenScribble(client, cred, out, result, returned));
+    sim.scheduleIn(1, [this] { net.clearFaultPlan(); });
+    sim.scheduleIn(sim::msec(65), [this, oid, &after] {
+        sim.spawn(storeWrite(drive, oid, after));
+    });
+    sim.run();
+
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(result->ok());
+    EXPECT_EQ(result->value(), 64 * kKB);
+    EXPECT_EQ(returned, after);
+    // The late attempt was served, not turned away as a replay.
+    EXPECT_EQ(drive.replaysRejected(), 0u);
+    EXPECT_GE(node.rpc_late_replies.value(), 1u);
+    // Nothing landed in `out` after the call returned.
+    EXPECT_EQ(out, std::vector<std::uint8_t>(64 * kKB, 0xee));
+}
+
+TEST_F(DriveFaultTest, AbandonedReadNeverLandsAfterReturn)
+{
+    constexpr std::uint64_t kBytes = 512 * kKB;
+    const ObjectId oid = makeObject();
+    auto cred = objectCred(oid);
+    const auto before = pattern(kBytes, 5);
+    const auto after = pattern(kBytes, 6);
+    ASSERT_TRUE(runFor(sim, client.write(cred, 0, before)).ok());
+    runTask(sim, client.flush());
+
+    // Restart empties the drive's data cache; a getAttr brings the
+    // inode back, so only the data read goes to the (now very slow)
+    // media. 512 KB is more than the disks' own caches hold.
+    drive.crash();
+    runTask(sim, drive.restart());
+    ASSERT_TRUE(runFor(sim, client.getAttr(cred)).ok());
+    drive.slowDown(100.0);
+    client.setPolicy(fastPolicy(4, sim::msec(300)));
+
+    // The first attempt waits seconds on the media and is abandoned.
+    // Meanwhile a write puts `after` in the drive cache, so the retry
+    // is served from cache and returns long before the first attempt's
+    // media read completes.
+    const auto reads_before = drive.store().stats().reads.value();
+    std::vector<std::uint8_t> out(kBytes, 0);
+    std::optional<StoreResult<std::uint64_t>> result;
+    std::vector<std::uint8_t> returned;
+    sim.spawn(readThenScribble(client, cred, out, result, returned));
+    sim.scheduleIn(sim::msec(50), [this, oid, &after] {
+        sim.spawn(storeWrite(drive, oid, after));
+    });
+    sim.run();
+
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(result->ok());
+    EXPECT_EQ(returned, after);
+    EXPECT_GE(node.rpc_timeouts.value(), 1u);
+    // Both attempts finished their store reads, the abandoned one after
+    // the call returned, and it landed nothing.
+    EXPECT_EQ(drive.store().stats().reads.value(), reads_before + 2);
+    EXPECT_EQ(out, std::vector<std::uint8_t>(kBytes, 0xee));
+}
+
+TEST_F(DriveFaultTest, TimedOutWriteAppliesCallersOriginalBytes)
+{
+    const ObjectId oid = makeObject();
+    auto cred = objectCred(oid);
+    const auto data = pattern(16 * kKB, 8);
+
+    // One 50 ms attempt whose request is held for 100 ms: the call
+    // returns kTimeout while the request is still on its way.
+    client.setPolicy(fastPolicy(1));
+    net::FaultPlan plan;
+    plan.delay_probability = 1.0;
+    plan.delay_min = sim::msec(100);
+    plan.delay_max = sim::msec(100);
+    net.setFaultPlan(plan);
+
+    // The caller overwrites its buffer and frees it as soon as the call
+    // returns; the late request must still apply the original bytes.
+    auto buffer = std::make_unique<std::vector<std::uint8_t>>(data);
+    std::optional<StoreResult<void>> result;
+    sim.spawn([](NasdClient &c, CredentialFactory &cr,
+                 std::unique_ptr<std::vector<std::uint8_t>> &buf,
+                 std::optional<StoreResult<void>> &out) -> Task<void> {
+        out = co_await c.write(cr, 0, *buf);
+        std::fill(buf->begin(), buf->end(), 0xee);
+        buf.reset();
+    }(client, cred, buffer, result));
+    sim.scheduleIn(1, [this] { net.clearFaultPlan(); });
+    sim.run();
+
+    ASSERT_TRUE(result.has_value());
+    ASSERT_FALSE(result->ok());
+    EXPECT_EQ(result->error(), NasdStatus::kTimeout);
+    EXPECT_EQ(buffer, nullptr);
+    std::vector<std::uint8_t> stored(16 * kKB, 0);
+    auto n = runFor(sim, drive.store().read(0, oid, 0, stored));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(n.value(), 16 * kKB);
+    EXPECT_EQ(stored, data);
 }
 
 // ------------------------------------------------------------- Cheops

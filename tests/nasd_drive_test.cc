@@ -272,9 +272,13 @@ TEST_F(DriveTest, ReplayedRequestRejected)
     RequestParams params{OpCode::kReadData, 0, oid, 0, 100};
     const RequestCredential captured = cred.forRequest(params);
 
-    auto first = runFor(drive.serveRead(captured, params));
+    std::vector<std::uint8_t> out(100);
+    const ReadLanding landing{out};
+    auto first = runFor(drive.serveRead(captured, params, landing));
     EXPECT_EQ(first.status, NasdStatus::kOk);
-    auto replay = runFor(drive.serveRead(captured, params));
+    EXPECT_EQ(first.bytes, 100u);
+    EXPECT_EQ(out, pattern(100));
+    auto replay = runFor(drive.serveRead(captured, params, landing));
     EXPECT_EQ(replay.status, NasdStatus::kReplayedRequest);
 }
 

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Bit-determinism gate: run fig6, fig9, the scaled fig9 --drives
-# configuration, and table1 twice each and require the two BENCH_*.json dumps
-# (metrics + timeseries) and printed outputs to be byte-identical.
+# configuration, the kill-drive rebuild, the lossy-network fault sweep,
+# and table1 twice each and require the two BENCH_*.json dumps
+# (metrics + timeseries) and printed outputs to be byte-identical. The
+# fault sweep is the one run that drives RPC retries, abandoned
+# attempts and degraded reads.
 # Every bench baseline and seeded-fault test silently assumes the
 # simulator replays the same event sequence for the same inputs; this
 # is the check that notices when someone breaks that — e.g. by keying
@@ -83,6 +86,7 @@ run_twice fig6 nojournal fig6_bandwidth || STATUS=1
 run_twice fig9 nojournal fig9_mining || STATUS=1
 run_twice fig9_scale64 nojournal fig9_mining --drives 64 || STATUS=1
 run_twice rebuild journal fig9_mining --kill-drive || STATUS=1
+run_twice fault_sweep nojournal fig9_mining --fault-sweep || STATUS=1
 run_twice table1 nojournal table1_op_costs || STATUS=1
 
 # The fleet dashboard must be a pure function of its input dump: two
