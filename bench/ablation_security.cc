@@ -57,16 +57,17 @@ measure(SecurityLevel level)
     const std::vector<std::uint8_t> data(2 * kMB, 7);
     auto w = bench::runFor(sim, client.write(cred, 0, data));
     (void)w;
+    std::vector<std::uint8_t> buf(512 * kKB); // every read lands here
     // Warm pass.
     for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB)
-        (void)bench::runFor(sim, client.read(cred, off, 512 * kKB));
+        (void)bench::runFor(sim, client.read(cred, off, buf));
 
     const sim::Tick start = sim.now();
     std::uint64_t moved = 0;
     for (int pass = 0; pass < 4; ++pass) {
         for (std::uint64_t off = 0; off < 2 * kMB; off += 512 * kKB) {
-            auto r = bench::runFor(sim, client.read(cred, off, 512 * kKB));
-            moved += r.ok() ? r.value().size() : 0;
+            auto r = bench::runFor(sim, client.read(cred, off, buf));
+            moved += r.ok() ? r.value() : 0;
         }
     }
     return util::bytesPerSecToMBs(static_cast<double>(moved) /

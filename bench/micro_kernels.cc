@@ -3,10 +3,10 @@
  * Wall-clock microbenchmarks (google-benchmark) for the real
  * computational kernels of the library — the pieces that execute
  * actual work rather than simulated time: SHA-256/HMAC, capability
- * mint/verify, the byte codec, the extent allocator, the
- * frequent-sets counting kernel, the Cheops parity XOR, and the host
- * cost of one 512 KB read miss at the object store and through the
- * NASD client (the simulator's own data path).
+ * mint, one request's digest and drive-side check, the byte codec, the
+ * extent allocator, the frequent-sets counting kernel, the Cheops
+ * parity XOR, and the host cost of one 512 KB read miss at the object
+ * store and through the NASD client (the simulator's own data path).
  *
  * These measure THIS implementation on THIS host; they are not part of
  * the paper reproduction, but they justify design choices (e.g. that
@@ -102,6 +102,35 @@ BM_RequestDigest(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RequestDigest);
+
+void
+BM_RequestVerify(benchmark::State &state)
+{
+    // The host crypto of one NASD request: the client's request digest,
+    // then the drive's checks in NasdDrive::verify, which re-derives
+    // the capability's private portion from its public one under the
+    // memoized working key and recomputes the request digest.
+    const crypto::Key master = testKey();
+    CapabilityIssuer issuer(master, 1);
+    const crypto::KeyChain drive_chain(master);
+    CapabilityPublic pub;
+    pub.object_id = 7;
+    pub.rights = kRightRead;
+    CredentialFactory cred(issuer.mint(pub));
+    RequestParams params{OpCode::kReadData, 0, 7, 0, 8192};
+    for (auto _ : state) {
+        const RequestCredential sent = cred.forRequest(params);
+        const crypto::Digest private_key = capabilityMac(
+            drive_chain.workingMac(1, sent.pub.partition, sent.pub.key_kind,
+                                   sent.pub.key_epoch),
+            sent.pub);
+        const bool accepted = crypto::constantTimeEqual(
+            requestMac(crypto::HmacKey(private_key), params, sent.nonce),
+            sent.request_digest);
+        benchmark::DoNotOptimize(accepted);
+    }
+}
+BENCHMARK(BM_RequestVerify);
 
 void
 BM_KeyHierarchyDerivation(benchmark::State &state)

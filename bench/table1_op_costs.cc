@@ -106,7 +106,7 @@ class Table1Bench
         for (const ObjectId oid : fillers) {
             auto cred = credFor(oid);
             (void)bench::runFor(sim, client->getAttr(cred));
-            (void)bench::runFor(sim, client->read(cred, 0, 512 * kKB));
+            (void)bench::runFor(sim, client->read(cred, 0, read_buf));
         }
     }
 
@@ -128,7 +128,9 @@ class Table1Bench
         const auto cpu0 = drive_cpu_instr.value();
         const auto comm0 = drive_send_instr.value() +
                            drive_recv_instr.value();
-        auto r = bench::runFor(sim, client->read(cred, 0, size));
+        auto r = bench::runFor(
+            sim, client->read(cred, 0,
+                              std::span<std::uint8_t>(read_buf).first(size)));
         (void)r;
         return MeasuredCost{drive_cpu_instr.value() - cpu0,
                             drive_send_instr.value() +
@@ -187,6 +189,8 @@ class Table1Bench
     net::NetNode *client_node = nullptr;
     std::unique_ptr<NasdClient> client;
     std::vector<ObjectId> fillers;
+    /** Landing buffer reused by every read; the largest read is 512 KB. */
+    std::vector<std::uint8_t> read_buf = std::vector<std::uint8_t>(512 * kKB);
 };
 
 /** Metric-path slug for a row label: lowercase, non-alphanumeric runs

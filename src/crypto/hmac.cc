@@ -9,37 +9,40 @@ namespace {
 constexpr std::uint8_t kIpad = 0x36;
 constexpr std::uint8_t kOpad = 0x5c;
 
-} // namespace
-
-HmacSha256::HmacSha256(const Key &key) : key_(key)
+/** Chaining words after hashing the one block key ^ @p pad. */
+Sha256State
+padMidstate(const Key &key, std::uint8_t pad)
 {
     // Keys are exactly one SHA-256 output (32 bytes), which is below the
     // 64-byte block size, so no pre-hashing of the key is needed.
     std::array<std::uint8_t, 64> block{};
     std::copy(key.begin(), key.end(), block.begin());
     for (auto &b : block)
-        b ^= kIpad;
-    inner_.update(block);
+        b ^= pad;
+    Sha256 ctx;
+    ctx.update(block);
+    return ctx.midstate();
 }
 
-void
-HmacSha256::update(std::span<const std::uint8_t> data)
+} // namespace
+
+HmacKey::HmacKey(const Key &key)
+    : inner_(padMidstate(key, kIpad)), outer_(padMidstate(key, kOpad))
+{}
+
+Digest
+HmacKey::mac(std::span<const std::uint8_t> data) const
 {
-    inner_.update(data);
+    HmacSha256 ctx(*this);
+    ctx.update(data);
+    return ctx.finish();
 }
 
 Digest
 HmacSha256::finish()
 {
     const Digest inner_digest = inner_.finish();
-
-    std::array<std::uint8_t, 64> block{};
-    std::copy(key_.begin(), key_.end(), block.begin());
-    for (auto &b : block)
-        b ^= kOpad;
-
-    Sha256 outer;
-    outer.update(block);
+    Sha256 outer(outer_, 1);
     outer.update(inner_digest);
     return outer.finish();
 }
@@ -47,9 +50,7 @@ HmacSha256::finish()
 Digest
 HmacSha256::mac(const Key &key, std::span<const std::uint8_t> data)
 {
-    HmacSha256 ctx(key);
-    ctx.update(data);
-    return ctx.finish();
+    return HmacKey(key).mac(data);
 }
 
 Key

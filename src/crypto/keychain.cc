@@ -26,19 +26,34 @@ KeyChain::partitionKey(std::uint64_t drive_id,
     return derive(driveKey(drive_id), 2, partition_id, 0);
 }
 
+const KeyChain::WorkingKey &
+KeyChain::working(std::uint64_t drive_id, std::uint16_t partition_id,
+                  WorkingKeyKind kind, std::uint32_t epoch) const
+{
+    const WorkingKeyId id{drive_id, partition_id, kind, epoch};
+    auto it = working_keys_.find(id);
+    if (it == working_keys_.end()) {
+        const auto kind_and_epoch =
+            (static_cast<std::uint64_t>(kind) << 32) | epoch;
+        const Key key = derive(partitionKey(drive_id, partition_id), 3,
+                               kind_and_epoch, 0);
+        it = working_keys_.emplace(id, WorkingKey{key, HmacKey(key)}).first;
+    }
+    return it->second;
+}
+
 Key
 KeyChain::workingKey(std::uint64_t drive_id, std::uint16_t partition_id,
                      WorkingKeyKind kind, std::uint32_t epoch) const
 {
-    const auto [it, fresh] = working_keys_.try_emplace(
-        WorkingKeyId{drive_id, partition_id, kind, epoch});
-    if (fresh) {
-        const auto kind_and_epoch =
-            (static_cast<std::uint64_t>(kind) << 32) | epoch;
-        it->second = derive(partitionKey(drive_id, partition_id), 3,
-                            kind_and_epoch, 0);
-    }
-    return it->second;
+    return working(drive_id, partition_id, kind, epoch).key;
+}
+
+const HmacKey &
+KeyChain::workingMac(std::uint64_t drive_id, std::uint16_t partition_id,
+                     WorkingKeyKind kind, std::uint32_t epoch) const
+{
+    return working(drive_id, partition_id, kind, epoch).mac;
 }
 
 } // namespace nasd::crypto

@@ -56,6 +56,16 @@ class KeyChain
     Key workingKey(std::uint64_t drive_id, std::uint16_t partition_id,
                    WorkingKeyKind kind, std::uint32_t epoch) const;
 
+    /**
+     * The same working key as a keyed HMAC context, memoized beside
+     * it, for minting and verifying capabilities. The reference stays
+     * valid for the life of the chain.
+     */
+    const HmacKey &workingMac(std::uint64_t drive_id,
+                              std::uint16_t partition_id,
+                              WorkingKeyKind kind,
+                              std::uint32_t epoch) const;
+
   private:
     static Key derive(const Key &parent, std::uint8_t level_tag,
                       std::uint64_t id_a, std::uint64_t id_b);
@@ -64,8 +74,19 @@ class KeyChain
         std::tuple<std::uint64_t, std::uint16_t, WorkingKeyKind,
                    std::uint32_t>;
 
+    struct WorkingKey
+    {
+        Key key;
+        HmacKey mac;
+    };
+
+    const WorkingKey &working(std::uint64_t drive_id,
+                              std::uint16_t partition_id,
+                              WorkingKeyKind kind,
+                              std::uint32_t epoch) const;
+
     Key master_;
-    mutable std::map<WorkingKeyId, Key> working_keys_;
+    mutable std::map<WorkingKeyId, WorkingKey> working_keys_;
 };
 
 } // namespace nasd::crypto

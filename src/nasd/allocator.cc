@@ -126,7 +126,8 @@ ExtentAllocator::ref(const Extent &extent)
          ++u) {
         NASD_ASSERT(refs_[u] > 0, "ref of free unit");
         NASD_ASSERT(refs_[u] < 255, "refcount overflow");
-        ++refs_[u];
+        if (++refs_[u] == 2)
+            ++shared_units_;
     }
 }
 
@@ -139,7 +140,8 @@ ExtentAllocator::unref(const Extent &extent)
     for (std::uint32_t u = extent.start; u < extent.start + extent.count;
          ++u) {
         NASD_ASSERT(refs_[u] > 0, "unref of free unit");
-        --refs_[u];
+        if (--refs_[u] == 1)
+            --shared_units_;
         if (refs_[u] == 0) {
             if (run_len == 0)
                 run_start = u;
@@ -169,6 +171,8 @@ ExtentAllocator::fromRefcounts(const std::vector<std::uint8_t> &refcounts)
     std::uint32_t run_start = 0;
     std::uint32_t run_len = 0;
     for (std::uint32_t u = 0; u < refcounts.size(); ++u) {
+        if (refcounts[u] > 1)
+            ++alloc.shared_units_;
         if (refcounts[u] == 0) {
             if (run_len == 0)
                 run_start = u;

@@ -51,6 +51,10 @@ class ExtentAllocator
     void unref(const Extent &extent);
 
     std::uint32_t freeUnits() const { return free_units_; }
+
+    /** Units whose refcount is above 1, i.e. shared by copy-on-write
+     *  versions. Zero means no write anywhere needs a copy. */
+    std::uint32_t sharedUnits() const { return shared_units_; }
     std::uint32_t totalUnits() const
     {
         return static_cast<std::uint32_t>(refs_.size());
@@ -86,6 +90,7 @@ class ExtentAllocator
     std::map<std::uint32_t, std::uint32_t> free_; ///< start -> count
     std::vector<std::uint8_t> refs_;
     std::uint32_t free_units_ = 0;
+    std::uint32_t shared_units_ = 0;
 };
 
 } // namespace nasd

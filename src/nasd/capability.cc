@@ -1,14 +1,43 @@
 #include "nasd/capability.h"
 
-#include "util/codec.h"
+#include <type_traits>
+
+#include "util/logging.h"
 
 namespace nasd {
 
-std::vector<std::uint8_t>
+namespace {
+
+/** Little-endian field writer into a fixed array (util::Encoder's
+ *  layout, without the heap buffer). */
+template <std::size_t N>
+struct FixedEncoder
+{
+    std::array<std::uint8_t, N> bytes{};
+    std::size_t size = 0;
+
+    template <typename T>
+    void
+    put(T value)
+    {
+        static_assert(std::is_integral_v<T>);
+        NASD_ASSERT(size + sizeof(T) <= N, "field past fixed encoding");
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            bytes[size++] = static_cast<std::uint8_t>(
+                static_cast<std::uint64_t>(value) >> (i * 8));
+    }
+};
+
+/** Bytes requestMac() binds: op, partition, object, offset, length,
+ *  nonce. */
+constexpr std::size_t kRequestMacBytes = 1 + 2 + 8 + 8 + 8 + 8;
+
+} // namespace
+
+std::array<std::uint8_t, CapabilityPublic::kEncodedBytes>
 CapabilityPublic::encode() const
 {
-    std::vector<std::uint8_t> out;
-    util::Encoder enc(out);
+    FixedEncoder<kEncodedBytes> enc;
     enc.put<std::uint64_t>(drive_id);
     enc.put<std::uint16_t>(partition);
     enc.put<std::uint64_t>(object_id);
@@ -19,39 +48,42 @@ CapabilityPublic::encode() const
     enc.put<std::uint64_t>(expiry_ns);
     enc.put<std::uint32_t>(key_epoch);
     enc.put<std::uint8_t>(static_cast<std::uint8_t>(key_kind));
-    return out;
+    NASD_ASSERT(enc.size == kEncodedBytes, "capability encoding size");
+    return enc.bytes;
 }
 
 crypto::Digest
-capabilityMac(const crypto::Key &working_key, const CapabilityPublic &pub)
+capabilityMac(const crypto::HmacKey &working_key,
+              const CapabilityPublic &pub)
 {
-    const auto encoded = pub.encode();
-    return crypto::HmacSha256::mac(working_key, encoded);
+    return working_key.mac(pub.encode());
 }
 
 crypto::Digest
-requestMac(const crypto::Digest &private_key, const RequestParams &params,
+requestMac(const crypto::HmacKey &private_key, const RequestParams &params,
            std::uint64_t nonce)
 {
-    crypto::HmacSha256 ctx(crypto::digestToKey(private_key));
-    ctx.updateValue<std::uint8_t>(static_cast<std::uint8_t>(params.op));
-    ctx.updateValue<std::uint16_t>(params.partition);
-    ctx.updateValue<std::uint64_t>(params.object_id);
-    ctx.updateValue<std::uint64_t>(params.offset);
-    ctx.updateValue<std::uint64_t>(params.length);
-    ctx.updateValue<std::uint64_t>(nonce);
-    return ctx.finish();
+    FixedEncoder<kRequestMacBytes> enc;
+    enc.put<std::uint8_t>(static_cast<std::uint8_t>(params.op));
+    enc.put<std::uint16_t>(params.partition);
+    enc.put<std::uint64_t>(params.object_id);
+    enc.put<std::uint64_t>(params.offset);
+    enc.put<std::uint64_t>(params.length);
+    enc.put<std::uint64_t>(nonce);
+    NASD_ASSERT(enc.size == kRequestMacBytes, "request digest size");
+    return private_key.mac(enc.bytes);
 }
 
 Capability
 CapabilityIssuer::mint(CapabilityPublic pub) const
 {
     pub.drive_id = drive_id_;
-    const crypto::Key working = chain_.workingKey(
-        drive_id_, pub.partition, pub.key_kind, pub.key_epoch);
     Capability cap;
     cap.pub = pub;
-    cap.private_key = capabilityMac(working, pub);
+    cap.private_key = capabilityMac(
+        chain_.workingMac(drive_id_, pub.partition, pub.key_kind,
+                          pub.key_epoch),
+        pub);
     return cap;
 }
 
@@ -65,7 +97,7 @@ CredentialFactory::forRequest(const RequestParams &params)
     RequestCredential cred;
     cred.pub = cap_.pub;
     cred.nonce = ++g_nonce;
-    cred.request_digest = requestMac(cap_.private_key, params, cred.nonce);
+    cred.request_digest = requestMac(request_key_, params, cred.nonce);
     return cred;
 }
 

@@ -14,8 +14,8 @@
 #ifndef NASD_NASD_CAPABILITY_H_
 #define NASD_NASD_CAPABILITY_H_
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "crypto/hmac.h"
 #include "crypto/keychain.h"
@@ -56,8 +56,11 @@ struct CapabilityPublic
     std::uint32_t key_epoch = 0;
     crypto::WorkingKeyKind key_kind = crypto::WorkingKeyKind::kGold;
 
+    /** Size of encode(): the fields above, little-endian, in order. */
+    static constexpr std::size_t kEncodedBytes = 52;
+
     /** Canonical byte encoding, the input to the capability MAC. */
-    std::vector<std::uint8_t> encode() const;
+    std::array<std::uint8_t, kEncodedBytes> encode() const;
 };
 
 /** A full capability: public fields plus the unforgeable private key. */
@@ -92,12 +95,15 @@ struct RequestParams
 };
 
 /** Compute the private portion for @p pub under @p working_key. */
-[[nodiscard]] crypto::Digest capabilityMac(const crypto::Key &working_key,
-                             const CapabilityPublic &pub);
+[[nodiscard]] crypto::Digest
+capabilityMac(const crypto::HmacKey &working_key,
+              const CapabilityPublic &pub);
 
-/** Compute the per-request digest proving possession of @p private_key. */
-[[nodiscard]] crypto::Digest requestMac(const crypto::Digest &private_key,
-                          const RequestParams &params, std::uint64_t nonce);
+/** Compute the per-request digest proving possession of @p private_key
+ *  (a capability's private portion, keyed). */
+[[nodiscard]] crypto::Digest requestMac(const crypto::HmacKey &private_key,
+                                        const RequestParams &params,
+                                        std::uint64_t nonce);
 
 /**
  * Mints capabilities on behalf of a file manager / storage manager.
@@ -133,7 +139,9 @@ class CapabilityIssuer
 class CredentialFactory
 {
   public:
-    explicit CredentialFactory(Capability cap) : cap_(std::move(cap)) {}
+    explicit CredentialFactory(Capability cap)
+        : cap_(std::move(cap)), request_key_(cap_.private_key)
+    {}
 
     const Capability &capability() const { return cap_; }
 
@@ -142,13 +150,19 @@ class CredentialFactory
      * without destroying the factory: in-flight coroutines hold
      * references to this object, so refresh must happen in place.
      */
-    void rebind(Capability cap) { cap_ = std::move(cap); }
+    void
+    rebind(Capability cap)
+    {
+        cap_ = std::move(cap);
+        request_key_ = crypto::HmacKey(cap_.private_key);
+    }
 
     /** Build the security header for one request. */
     [[nodiscard]] RequestCredential forRequest(const RequestParams &params);
 
   private:
     Capability cap_;
+    crypto::HmacKey request_key_; ///< cap_.private_key, keyed
 };
 
 } // namespace nasd

@@ -132,11 +132,12 @@ NasdDrive::verify(const RequestCredential &cred, const RequestParams &params,
     // request digest. This is what makes capabilities unforgeable: the
     // client can only produce the digest if it holds the private key,
     // and only the file manager (sharing our secret) can mint that.
-    const crypto::Key working = keychain_.workingKey(
-        config_.drive_id, pub.partition, pub.key_kind, pub.key_epoch);
-    const crypto::Digest private_key = capabilityMac(working, pub);
+    const crypto::Digest private_key = capabilityMac(
+        keychain_.workingMac(config_.drive_id, pub.partition, pub.key_kind,
+                             pub.key_epoch),
+        pub);
     const crypto::Digest expected =
-        requestMac(private_key, params, cred.nonce);
+        requestMac(crypto::HmacKey(private_key), params, cred.nonce);
     if (!crypto::constantTimeEqual(expected, cred.request_digest))
         co_return NasdStatus::kBadCapability;
 

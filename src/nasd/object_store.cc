@@ -638,6 +638,10 @@ sim::Task<util::Result<void, NasdStatus>>
 ObjectStore::ensureExclusive(Inode &inode, std::uint64_t first_unit,
                              std::uint64_t last_unit, OpTrace *trace)
 {
+    // No unit on the drive is shared, so no extent needs a copy.
+    if (alloc_->sharedUnits() == 0)
+        co_return util::Result<void, NasdStatus>{};
+
     // Partition quota is a count of unit *references* held by the
     // partition's objects, so a COW relocation is quota-neutral: the
     // object trades shared references for exclusive ones. Real space

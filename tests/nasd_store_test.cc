@@ -16,6 +16,7 @@
 #include "nasd/drive.h"
 #include "nasd/object_store.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace nasd {
@@ -114,6 +115,57 @@ TEST(Allocator, SerializationRoundTrip)
     EXPECT_EQ(restored.freeUnits(), alloc.freeUnits());
     EXPECT_EQ(restored.refcount(b[0].start), 2);
     EXPECT_FALSE(restored.isAllocated(0));
+}
+
+TEST(Allocator, SharedUnitCountTracksRefcounts)
+{
+    // Random allocate/ref/unref churn; after every step the O(1)
+    // shared-unit count must equal a full scan for refcounts above 1,
+    // and a rebuild from the serialized refcounts (what mount does)
+    // must count the same.
+    ExtentAllocator alloc(256);
+    std::vector<Extent> held; // one entry per reference
+    util::Rng rng(5);
+    const auto scan = [&alloc] {
+        std::uint32_t shared = 0;
+        for (std::uint32_t u = 0; u < alloc.totalUnits(); ++u)
+            shared += alloc.refcount(u) > 1 ? 1 : 0;
+        return shared;
+    };
+    for (int step = 0; step < 2000; ++step) {
+        const auto action = rng.below(3);
+        if (action == 0 || held.empty()) {
+            auto got = alloc.allocate(
+                static_cast<std::uint32_t>(1 + rng.below(8)),
+                static_cast<std::uint32_t>(rng.below(256)));
+            if (got.ok())
+                held.insert(held.end(), got.value().begin(),
+                            got.value().end());
+        } else if (action == 1) {
+            const Extent e = held[rng.below(held.size())];
+            if (alloc.refcount(e.start) < 200) {
+                alloc.ref(e);
+                held.push_back(e);
+            }
+        } else {
+            const std::size_t i = rng.below(held.size());
+            alloc.unref(held[i]);
+            held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        ASSERT_EQ(alloc.sharedUnits(), scan()) << "step " << step;
+        if (step % 100 == 0) {
+            EXPECT_EQ(ExtentAllocator::fromRefcounts(
+                          alloc.serializeRefcounts())
+                          .sharedUnits(),
+                      alloc.sharedUnits());
+        }
+    }
+    while (!held.empty()) {
+        alloc.unref(held.back());
+        held.pop_back();
+    }
+    EXPECT_EQ(alloc.sharedUnits(), 0u);
+    EXPECT_EQ(alloc.freeUnits(), alloc.totalUnits());
 }
 
 // ------------------------------------------------------------ object store
@@ -480,6 +532,38 @@ TEST_F(ObjectStoreTest, RemoveCloneKeepsOriginalData)
     EXPECT_EQ(out, original);
 }
 
+TEST_F(ObjectStoreTest, WriteToSharedExtentRelocatesUntilCloneRemoved)
+{
+    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    ASSERT_TRUE(
+        runFor(store.write(0, oid, 0, pattern(64 * kKB, 1), nullptr)).ok());
+    const ObjectId clone =
+        runFor(store.cloneVersion(0, oid, nullptr)).value();
+
+    // The extent is shared, so a write to the clone copies it to fresh
+    // units.
+    auto free_before = store.freeUnits();
+    ASSERT_TRUE(
+        runFor(store.write(0, clone, 0, pattern(8 * kKB, 2), nullptr)).ok());
+    EXPECT_LT(store.freeUnits(), free_before);
+
+    // Re-share, then drop the clone: nothing is shared any more, and a
+    // write lands in place.
+    const ObjectId clone2 =
+        runFor(store.cloneVersion(0, oid, nullptr)).value();
+    ASSERT_TRUE(runFor(store.removeObject(0, clone2, nullptr)).ok());
+    free_before = store.freeUnits();
+    ASSERT_TRUE(
+        runFor(store.write(0, oid, 0, pattern(8 * kKB, 3), nullptr)).ok());
+    EXPECT_EQ(store.freeUnits(), free_before);
+
+    std::vector<std::uint8_t> out(8 * kKB);
+    (void)runFor(store.read(0, oid, 0, out, nullptr));
+    EXPECT_EQ(out, pattern(8 * kKB, 3));
+    (void)runFor(store.read(0, clone, 0, out, nullptr));
+    EXPECT_EQ(out, pattern(8 * kKB, 2));
+}
+
 // ------------------------------------------------------------- persistence
 
 TEST_F(ObjectStoreTest, MountRebuildsState)
@@ -531,6 +615,28 @@ TEST_F(ObjectStoreTest, MountPreservesAllocatorState)
     std::vector<std::uint8_t> out(512 * kKB);
     (void)runFor(reborn.read(0, oid, 0, out, nullptr));
     EXPECT_EQ(out, pattern(512 * kKB));
+}
+
+TEST_F(ObjectStoreTest, MountKeepsCloneSharing)
+{
+    // Sharing is rebuilt from the on-disk refcounts: after a remount, a
+    // write to the clone must still copy, leaving the original intact.
+    const ObjectId oid = runFor(store.createObject(0, 0, nullptr)).value();
+    const auto original = pattern(64 * kKB, 1);
+    ASSERT_TRUE(runFor(store.write(0, oid, 0, original, nullptr)).ok());
+    const ObjectId clone =
+        runFor(store.cloneVersion(0, oid, nullptr)).value();
+    run(store.flushAll());
+
+    ObjectStore reborn(sim, disk, config());
+    run(reborn.mount());
+    const auto free_before = reborn.freeUnits();
+    ASSERT_TRUE(runFor(
+        reborn.write(0, clone, 0, pattern(8 * kKB, 200), nullptr)).ok());
+    EXPECT_LT(reborn.freeUnits(), free_before);
+    std::vector<std::uint8_t> out(64 * kKB);
+    (void)runFor(reborn.read(0, oid, 0, out, nullptr));
+    EXPECT_EQ(out, original);
 }
 
 // -------------------------------------------------------------- cost trace

@@ -360,7 +360,7 @@ TEST_P(CapabilityTamper, AnyFieldChangeBreaksTheMac)
     pub.expiry_ns = rng.next();
     pub.key_epoch = static_cast<std::uint32_t>(rng.next());
 
-    const auto mac = capabilityMac(key, pub);
+    const auto mac = capabilityMac(crypto::HmacKey(key), pub);
 
     // Flipping any single bit of the encoding changes the MAC.
     const auto encoded = pub.encode();
@@ -375,13 +375,14 @@ TEST_P(CapabilityTamper, AnyFieldChangeBreaksTheMac)
     // Request digests bind every parameter.
     RequestParams params{OpCode::kReadData, pub.partition, pub.object_id,
                          rng.below(1 << 20), rng.below(1 << 20)};
-    const auto digest = requestMac(mac, params, 42);
+    const crypto::HmacKey private_key(mac);
+    const auto digest = requestMac(private_key, params, 42);
     RequestParams other = params;
     other.offset ^= 1;
-    EXPECT_FALSE(crypto::constantTimeEqual(digest,
-                                           requestMac(mac, other, 42)));
-    EXPECT_FALSE(
-        crypto::constantTimeEqual(digest, requestMac(mac, params, 43)));
+    EXPECT_FALSE(crypto::constantTimeEqual(
+        digest, requestMac(private_key, other, 42)));
+    EXPECT_FALSE(crypto::constantTimeEqual(
+        digest, requestMac(private_key, params, 43)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CapabilityTamper,
